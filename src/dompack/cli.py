@@ -1,9 +1,13 @@
 """Command-line surface: compute, verify, construct, search, lemmacheck.
 
-Every campaign instance is summarized as a CampaignRecord that embeds its
-GenSpec, so any record can be replayed bit-exactly.  Records stream as JSON
-lines, an aligned table, or CSV; any bound violation, invalid certificate,
-or lemma falsification makes the exit status nonzero.
+Records are plain dicts built by `_record`, the one place a graph becomes a
+record; each subcommand adds only its own fields.  Every record, failed ones
+included, carries its graph's graph6, n and m, its GenSpec when `verify`
+generated the graph (so it replays bit-exactly), and its wall_time.  A
+record that holds gamma and rho solved each of them once (once more per X
+set).  Records stream as JSON lines, an aligned table, or CSV; any bound
+violation, invalid certificate, or lemma falsification makes the exit status
+nonzero.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import codec
@@ -77,61 +80,33 @@ DEFAULT_MAX_N = {
 }
 
 
-@dataclass
-class CampaignRecord:
-    graph6: str
-    n: int
-    m: int
-    genspec: dict | None = None
-    gamma: int | None = None
-    rho: int | None = None
-    gamma_x: int | None = None
-    rho_x: int | None = None
-    x_set: list | None = None
-    gamma_f: str | None = None
-    certificate: dict | None = None
-    bound: str | None = None
-    ratio: str | None = None
-    passed: bool = True
-    wall_time: float = 0.0
-    extra: dict = field(default_factory=dict)
+def _record(g: Graph | None, t0: float, **fields) -> dict:
+    """One CLI record: the only place a graph becomes a record.
 
-    def to_dict(self) -> dict:
-        out = {}
-        for key in (
-            "graph6",
-            "n",
-            "m",
-            "genspec",
-            "gamma",
-            "rho",
-            "gamma_x",
-            "rho_x",
-            "x_set",
-            "gamma_f",
-            "certificate",
-            "bound",
-            "ratio",
-            "passed",
-            "wall_time",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out.update(self.extra)
-        return out
+    The record carries the graph6, n and m of `g` ("", 0 and 0 when no graph
+    was made), `passed` (True unless `fields` says otherwise), the
+    subcommand's own `fields` and `wall_time`, the seconds since `t0`.
+    Exact rationals are written as their string, for example "7/3".
+    """
+    rec = {"graph6": "", "n": 0, "m": 0, "passed": True}
+    if g is not None:
+        rec.update(graph6=codec.emit_graph6(g), n=g.n, m=g.m)
+    for key, value in fields.items():
+        rec[key] = str(value) if isinstance(value, Fraction) else value
+    rec["wall_time"] = round(time.perf_counter() - t0, 6)
+    return rec
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
+def _failures(records: list[dict]) -> int:
+    return sum(not rec["passed"] for rec in records)
 
 
-def _emit(records: list[CampaignRecord], summary: dict, args) -> None:
+def _emit(records: list[dict], summary: dict, args) -> None:
     fmt = args.format
     lines: list[str] = []
     if fmt == "json":
         for rec in records:
-            lines.append(json.dumps(rec.to_dict(), sort_keys=True))
+            lines.append(json.dumps(rec, sort_keys=True))
         lines.append(json.dumps({"summary": summary}, sort_keys=True))
     elif fmt == "csv":
         import csv as _csv
@@ -142,16 +117,14 @@ def _emit(records: list[CampaignRecord], summary: dict, args) -> None:
         writer = _csv.writer(buf)
         writer.writerow(cols)
         for rec in records:
-            d = rec.to_dict()
-            writer.writerow([d.get(c, "") for c in cols])
+            writer.writerow([rec.get(c, "") for c in cols])
         lines = buf.getvalue().splitlines()
         lines.append("# " + json.dumps({"summary": summary}, sort_keys=True))
     else:
         header = f"{'graph6':<24} {'n':>3} {'m':>4} {'gamma':>5} {'rho':>4} {'gamma_f':>8} {'ratio':>6} {'pass':>5}"
         lines.append(header)
         lines.append("-" * len(header))
-        for rec in records:
-            d = rec.to_dict()
+        for d in records:
             lines.append(
                 f"{d.get('graph6', '')[:24]:<24} {d.get('n', ''):>3} {d.get('m', ''):>4} "
                 f"{str(d.get('gamma', '')):>5} {str(d.get('rho', '')):>4} "
@@ -193,34 +166,31 @@ def _parse_x_set(text: str, g: Graph) -> VertexSet:
 
 def cmd_compute(args) -> int:
     records = []
-    violations = 0
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()
         gamma = exact_domination(g)
         rho = exact_packing(g)
-        rec = CampaignRecord(
-            graph6=codec.emit_graph6(g),
-            n=g.n,
-            m=g.m,
-            gamma=gamma.value,
-            rho=rho.value,
-            ratio=_frac_str(Fraction(gamma.value, rho.value)),
-        )
-        rec.extra["gamma_witness"] = sorted(gamma.witness)
-        rec.extra["rho_witness"] = sorted(rho.witness)
+        fields = {}
         if args.fractional:
-            report = verify_sandwich(g)
-            rec.gamma_f = _frac_str(report.gamma_f)
-            rec.passed = report.holds
+            report = verify_sandwich(g, gamma=gamma.value, rho=rho.value)
+            fields.update(gamma_f=report.gamma_f, passed=report.holds)
         if args.x_set:
             x = _parse_x_set(args.x_set, g)
-            rec.gamma_x = exact_domination(g, x).value
-            rec.rho_x = exact_packing(g, x).value
-            rec.x_set = sorted(x)
-        rec.wall_time = round(time.perf_counter() - t0, 6)
-        if not rec.passed:
-            violations += 1
-        records.append(rec)
+            fields.update(
+                gamma_x=exact_domination(g, x).value,
+                rho_x=exact_packing(g, x).value,
+                x_set=sorted(x),
+            )
+        records.append(_record(
+            g, t0,
+            gamma=gamma.value,
+            rho=rho.value,
+            ratio=Fraction(gamma.value, rho.value),
+            gamma_witness=sorted(gamma.witness),
+            rho_witness=sorted(rho.witness),
+            **fields,
+        ))
+    violations = _failures(records)
     _emit(records, {"instances": len(records), "violations": violations}, args)
     return 1 if violations else 0
 
@@ -261,49 +231,34 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int, x_prob: float) -
 
 
 def _verify_one(payload: tuple) -> dict:
-    cls, spec_json, bound_str, x_samples = payload
+    spec_json, bound, x_samples = payload
     spec = GenSpec.from_json(spec_json)
-    bound = Fraction(bound_str)
     t0 = time.perf_counter()
-    gen_attempts = None
+    fields = {"genspec": json.loads(spec_json), "bound": bound}
     if spec.family == "chordal-bipartite":
-        g, gen_attempts = gen_chordal_bipartite_with_stats(spec)
+        g, fields["gen_attempts"] = gen_chordal_bipartite_with_stats(spec)
     else:
         g = generate(spec)
     gamma = exact_domination(g).value
     rho = exact_packing(g).value
     passed = gamma <= bound * rho
-    rec = {
-        "graph6": codec.emit_graph6(g),
-        "n": g.n,
-        "m": g.m,
-        "genspec": json.loads(spec_json),
-        "gamma": gamma,
-        "rho": rho,
-        "bound": bound_str,
-        "ratio": _frac_str(Fraction(gamma, rho)),
-    }
-    if cls == "planar" and x_samples:
+    if x_samples:
         rng = random.Random(derive_seed(spec.seed, 991))
         x_prob = spec.params.get("x_prob", 0.25)
-        x_records = []
+        x_checks = []
         for _ in range(x_samples):
             x = VertexSet(g.n, [v for v in range(g.n) if rng.random() < x_prob])
             gx = exact_domination(g, x).value
             rx = exact_packing(g, x).value
-            if gx > bound * rx:
-                passed = False
-            x_records.append({"x": sorted(x), "gamma_x": gx, "rho_x": rx})
-        rec["x_checks"] = x_records
-        if x_records:
-            rec["gamma_x"] = x_records[0]["gamma_x"]
-            rec["rho_x"] = x_records[0]["rho_x"]
-            rec["x_set"] = x_records[0]["x"]
-    if gen_attempts is not None:
-        rec["gen_attempts"] = gen_attempts
-    rec["passed"] = passed
-    rec["wall_time"] = round(time.perf_counter() - t0, 6)
-    return rec
+            passed = passed and gx <= bound * rx
+            x_checks.append({"x": sorted(x), "gamma_x": gx, "rho_x": rx})
+        fields["x_checks"] = x_checks
+        if x_checks:
+            first = x_checks[0]
+            fields.update(gamma_x=first["gamma_x"], rho_x=first["rho_x"], x_set=first["x"])
+    return _record(
+        g, t0, gamma=gamma, rho=rho, ratio=Fraction(gamma, rho), passed=passed, **fields
+    )
 
 
 def cmd_verify(args) -> int:
@@ -312,54 +267,28 @@ def cmd_verify(args) -> int:
     max_n = args.n or DEFAULT_MAX_N[cls]
     payloads = [
         (
-            cls,
             _instance_spec(cls, i, args.seed, max_n, args.x_prob).to_json(),
-            str(bound),
+            bound,
             args.x_samples if cls == "planar" else 0,
         )
         for i in range(args.count)
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, payloads))
+            records = list(pool.map(_verify_one, payloads))
     else:
-        results = [_verify_one(p) for p in payloads]
+        records = [_verify_one(p) for p in payloads]
 
-    records = []
-    violations = 0
-    max_ratio = Fraction(0)
-    for raw in results:
-        rec = CampaignRecord(
-            graph6=raw["graph6"],
-            n=raw["n"],
-            m=raw["m"],
-            genspec=raw["genspec"],
-            gamma=raw["gamma"],
-            rho=raw["rho"],
-            gamma_x=raw.get("gamma_x"),
-            rho_x=raw.get("rho_x"),
-            x_set=raw.get("x_set"),
-            bound=raw["bound"],
-            ratio=raw["ratio"],
-            passed=raw["passed"],
-            wall_time=raw["wall_time"],
-        )
-        if "x_checks" in raw:
-            rec.extra["x_checks"] = raw["x_checks"]
-        if "gen_attempts" in raw:
-            rec.extra["gen_attempts"] = raw["gen_attempts"]
-        max_ratio = max(max_ratio, Fraction(raw["ratio"]))
-        if not raw["passed"]:
-            violations += 1
-        records.append(rec)
+    violations = _failures(records)
+    max_ratio = max((Fraction(rec["ratio"]) for rec in records), default=Fraction(0))
     summary = {
         "class": cls,
         "bound": str(bound),
         "instances": len(records),
         "violations": violations,
-        "max_ratio": _frac_str(max_ratio),
+        "max_ratio": str(max_ratio),
     }
-    attempts = [r["gen_attempts"] for r in results if "gen_attempts" in r]
+    attempts = [rec["gen_attempts"] for rec in records if "gen_attempts" in rec]
     if attempts:
         summary["generator_acceptance"] = round(len(attempts) / sum(attempts), 4)
     _emit(records, summary, args)
@@ -372,10 +301,8 @@ def cmd_verify(args) -> int:
 def cmd_construct(args) -> int:
     cls = args.cls
     records = []
-    failures = 0
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()
-        rec = CampaignRecord(graph6=codec.emit_graph6(g), n=g.n, m=g.m)
         try:
             if cls == "tree":
                 if not is_tree(g):
@@ -398,20 +325,17 @@ def cmd_construct(args) -> int:
             else:
                 raise DompackError(f"no constructive algorithm for class {cls!r}")
         except DompackError as exc:
-            rec.passed = False
-            rec.extra["error"] = str(exc)
-            failures += 1
-            records.append(rec)
+            records.append(_record(g, t0, passed=False, error=str(exc)))
             continue
-        rec.certificate = json.loads(cert.to_json())
-        rec.gamma = exact_domination(g).value
-        rec.rho = exact_packing(g).value
-        rec.bound = str(cert.bound_constant)
-        rec.passed = cert.valid and len(cert.d) <= cert.bound_constant * len(cert.p)
-        rec.wall_time = round(time.perf_counter() - t0, 6)
-        if not rec.passed:
-            failures += 1
-        records.append(rec)
+        records.append(_record(
+            g, t0,
+            certificate=json.loads(cert.to_json()),
+            gamma=exact_domination(g).value,
+            rho=exact_packing(g).value,
+            bound=cert.bound_constant,
+            passed=cert.valid and len(cert.d) <= cert.bound_constant * len(cert.p),
+        ))
+    failures = _failures(records)
     _emit(records, {"class": cls, "instances": len(records), "failures": failures}, args)
     return 1 if failures else 0
 
@@ -424,14 +348,12 @@ def cmd_search(args) -> int:
         raise DompackError("extremal search is capped at n <= 30")
     target = Fraction(args.target)
     rng = random.Random(args.seed)
-    best_ratio = Fraction(0)
-    best_g6 = None
-    best_gamma = best_rho = None
+    best_graph, best = None, {"ratio": Fraction(0)}
     t0 = time.perf_counter()
 
     iterations_left = args.iterations
     restart = 0
-    while iterations_left > 0 and best_ratio < target:
+    while iterations_left > 0 and best["ratio"] < target:
         restart += 1
         emb = embed_maximal_planar(derive_seed(args.seed, restart), args.n)
         all_edges = sorted((min(u, v), max(u, v)) for u, v in emb.edges)
@@ -449,21 +371,18 @@ def cmd_search(args) -> int:
                 graph.n - graph.second_masks[v].bit_count() for v in range(graph.n)
             )
             climb = (1, gamma) if far == 0 else (0, -far)
-            return climb, Fraction(gamma, rho), gamma, rho
+            return climb, {"gamma": gamma, "rho": rho, "ratio": Fraction(gamma, rho)}
 
-        def consider(graph: Graph, ratio: Fraction, gamma: int, rho: int) -> None:
-            nonlocal best_ratio, best_g6, best_gamma, best_rho
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_g6 = codec.emit_graph6(graph)
-                best_gamma = gamma
-                best_rho = rho
+        def consider(graph: Graph, solved: dict) -> None:
+            nonlocal best_graph, best
+            if solved["ratio"] > best["ratio"]:
+                best_graph, best = graph, solved
 
         g = Graph(args.n, sorted(present))
-        cur, ratio, gamma, rho = evaluate(g)
-        consider(g, ratio, gamma, rho)
+        cur, solved = evaluate(g)
+        consider(g, solved)
         stall = 0
-        while iterations_left > 0 and best_ratio < target and stall < 12 * args.n:
+        while iterations_left > 0 and best["ratio"] < target and stall < 12 * args.n:
             iterations_left -= 1
             e = all_edges[rng.randrange(len(all_edges))]
             nxt = set(present)
@@ -472,32 +391,18 @@ def cmd_search(args) -> int:
             else:
                 nxt.add(e)
             g = Graph(args.n, sorted(nxt))
-            climb, ratio, gamma, rho = evaluate(g)
+            climb, solved = evaluate(g)
             if climb >= cur:
                 stall = stall + 1 if climb == cur else 0
                 present, cur = nxt, climb
-                consider(g, ratio, gamma, rho)
+                consider(g, solved)
             else:
                 stall += 1
 
-    found = best_ratio >= target
-    rec = CampaignRecord(
-        graph6=best_g6 or "",
-        n=args.n,
-        m=codec.parse_graph6(best_g6).m if best_g6 else 0,
-        gamma=best_gamma,
-        rho=best_rho,
-        ratio=_frac_str(best_ratio),
-        passed=True,
-        wall_time=round(time.perf_counter() - t0, 3),
-    )
-    rec.extra["target"] = str(target)
-    rec.extra["found"] = found
-    _emit(
-        [rec],
-        {"target": str(target), "found": found, "best_ratio": _frac_str(best_ratio)},
-        args,
-    )
+    found = best["ratio"] >= target
+    # n is the requested size, also when no iteration ran and best_graph is None.
+    rec = _record(best_graph, t0, n=args.n, **best, target=str(target), found=found)
+    _emit([rec], {"target": str(target), "found": found, "best_ratio": str(best["ratio"])}, args)
     return 0  # best-effort by design
 
 
@@ -518,13 +423,12 @@ def _connected_min_degree2_embedding(seed: int, n_max: int):
 
 
 def cmd_lemmacheck(args) -> int:
-    failures = 0
     records = []
     n_max = args.n or 40
     for i in range(args.count):
         sub = derive_seed(args.seed, 7_000_000 + i)
         t0 = time.perf_counter()
-        rec = CampaignRecord(graph6="", n=0, m=0)
+        g = None  # set as soon as the instance exists, so failures carry it
         try:
             if args.lemma == "triangulate":
                 emb, g = _connected_min_degree2_embedding(sub, n_max)
@@ -534,14 +438,12 @@ def cmd_lemmacheck(args) -> int:
                 mg = tri.multigraph()
                 ok = ok and not any(u in ind and v in ind for u, v in mg.edges)
                 ok = ok and all(mg.degree(v) >= g.degree(v) for v in range(g.n))
-                rec.graph6, rec.n, rec.m = codec.emit_graph6(g), g.n, g.m
-                rec.extra["independent_set"] = sorted(ind)
+                fields = {"independent_set": sorted(ind)}
             elif args.lemma == "discharge":
                 g = random_min_degree4_planar(sub, 6 + (i % (max(n_max, 12) - 5)) + 6)
                 edge = find_low_degree_edge(g)
                 ok = edge is not None
-                rec.graph6, rec.n, rec.m = codec.emit_graph6(g), g.n, g.m
-                rec.extra["edge"] = list(edge) if edge else None
+                fields = {"edge": list(edge) if edge else None}
             elif args.lemma == "charge-audit":
                 rng = random.Random(sub)
                 n = rng.randrange(4, n_max + 1)
@@ -551,19 +453,13 @@ def cmd_lemmacheck(args) -> int:
                 ind = greedy_maximal_independent_set(g, low)
                 ledger = charge_audit(emb, ind)
                 ok = ledger.total == Fraction(-12) and len(ledger.negative_vertices) > 0
-                rec.graph6, rec.n, rec.m = codec.emit_graph6(g), g.n, g.m
-                rec.extra["total_charge"] = str(ledger.total)
-                rec.extra["transfers"] = len(ledger.transfers)
+                fields = {"total_charge": ledger.total, "transfers": len(ledger.transfers)}
             else:
                 raise DompackError(f"unknown lemma {args.lemma!r}")
         except DompackError as exc:
-            ok = False
-            rec.extra["error"] = str(exc)
-        rec.passed = ok
-        rec.wall_time = round(time.perf_counter() - t0, 6)
-        if not ok:
-            failures += 1
-        records.append(rec)
+            ok, fields = False, {"error": str(exc)}
+        records.append(_record(g, t0, passed=ok, **fields))
+    failures = _failures(records)
     summary = {"lemma": args.lemma, "instances": len(records), "failures": failures}
     _emit(records, summary, args)
     return 1 if failures else 0

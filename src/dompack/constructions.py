@@ -258,7 +258,7 @@ def homogeneously_orderable_dompack(g: Graph, ordering: Ordering) -> DomPackCert
         suffix_at[v] = active
         active &= ~(1 << v)
 
-    search = maximal_packing_keyed(g, "index-sum-min", ordering=ordering.perm)
+    search = maximal_packing_keyed(g, ordering.perm)
     d_mask = _paired_dominating_set(g, suffix_at, search.packing.mask, repair=False)
     p_mask = search.packing.mask
 

@@ -163,16 +163,20 @@ class SandwichReport:
         return self.rho <= self.rho_f == self.gamma_f <= self.gamma
 
 
-def verify_sandwich(g: Graph) -> SandwichReport:
-    """Compute rho <= rho_f = gamma_f <= gamma with exact arithmetic."""
+def verify_sandwich(
+    g: Graph, *, gamma: int | None = None, rho: int | None = None
+) -> SandwichReport:
+    """Compute rho <= rho_f = gamma_f <= gamma with exact arithmetic.
+
+    `gamma` and `rho` are solved exactly unless the caller already knows them.
+    """
     sol = fractional_domination(g)
-    report = SandwichReport(
-        rho=exact_packing(g).value,
+    return SandwichReport(
+        rho=exact_packing(g).value if rho is None else rho,
         rho_f=sum(sol.dual, Fraction(0)),
         gamma_f=sum(sol.primal, Fraction(0)),
-        gamma=exact_domination(g).value,
+        gamma=exact_domination(g).value if gamma is None else gamma,
     )
-    return report
 
 
 def harmonic(k: int) -> Rational:

@@ -8,7 +8,6 @@ vertex index everywhere so witnesses are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -212,52 +211,27 @@ class KeyedPackingResult:
     iterations: int
 
 
-def maximal_packing_keyed(
-    g: Graph,
-    key: str,
-    *,
-    ordering: tuple[int, ...] | None = None,
-    root: int | None = None,
-) -> KeyedPackingResult:
+def maximal_packing_keyed(g: Graph, ordering: tuple[int, ...]) -> KeyedPackingResult:
     """Maximal packing locally optimal under single-vertex exchange.
 
-    key="index-sum-min": minimize the sum of ordering positions (aux =
-    `ordering`, a permutation).  key="depth-sum-max": maximize the sum of BFS
-    depths from `root` (graph must be connected).  Exchanges re-complete
-    greedily to maximality and are capped at n^2 accepted moves.
+    The key is the sum of the members' positions in `ordering` (a permutation
+    of 0..n-1), minimized.  Exchanges re-complete greedily to maximality in
+    ordering order and are capped at n^2 accepted moves.
     """
     n = g.n
     second = g.second_masks
-
-    if key == "index-sum-min":
-        if ordering is None:
-            raise GraphError("index-sum-min needs an ordering")
-        if sorted(ordering) != list(range(n)):
-            raise GraphError("ordering is not a permutation of 0..n-1")
-        pos = [0] * n
-        for p_idx, v in enumerate(ordering):
-            pos[v] = p_idx
-        scan = list(ordering)
-        weight = pos
-        better = lambda a, b: a < b  # noqa: E731
-    elif key == "depth-sum-max":
-        if root is None:
-            raise GraphError("depth-sum-max needs a root")
-        depths = g.bfs_depths(root)
-        if any(d == math.inf for d in depths):
-            raise GraphError("depth-sum-max requires a connected graph")
-        weight = [int(d) for d in depths]
-        scan = sorted(range(n), key=lambda v: (-weight[v], v))
-        better = lambda a, b: a > b  # noqa: E731
-    else:
-        raise GraphError(f"unknown key {key!r}")
+    if sorted(ordering) != list(range(n)):
+        raise GraphError("ordering is not a permutation of 0..n-1")
+    weight = [0] * n
+    for p_idx, v in enumerate(ordering):
+        weight[v] = p_idx
 
     def complete(mask: int) -> int:
         blocked = 0
         for v in range(n):
             if (mask >> v) & 1:
                 blocked |= second[v]
-        for v in scan:
+        for v in ordering:
             if not (mask >> v) & 1 and not (blocked >> v) & 1:
                 mask |= 1 << v
                 blocked |= second[v]
@@ -285,7 +259,7 @@ def maximal_packing_keyed(
                     continue
                 candidate = complete(without | (1 << b))
                 cand_key = key_of(candidate)
-                if better(cand_key, current_key):
+                if cand_key < current_key:
                     current, current_key = candidate, cand_key
                     iterations += 1
                     improved = True

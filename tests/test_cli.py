@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from dompack import emit_graph6, gen_named
+from dompack import emit_graph6, gen_named, parse_graph6
 from dompack.cli import main
 from dompack.generators import GenSpec, generate
 
@@ -109,17 +109,26 @@ def test_verify_records_replay(capsys):
 
 
 def test_verify_jobs_match_sequential(capsys):
-    args = ["verify", "--class", "tree", "--count", "10", "--seed", "5", "--format", "json"]
-    _, out1 = run_cli(capsys, *args)
-    _, out2 = run_cli(capsys, *args, "--jobs", "2")
-
     def strip(out):
         recs, summary = json_records(out)
         for r in recs:
             r.pop("wall_time", None)
         return recs, summary
 
-    assert strip(out1) == strip(out2)
+    # Planar records carry X samples and chordal-bipartite ones generator
+    # attempts: both are filled in by the worker process.
+    for cls, count, extra, field in (
+        ("tree", "10", (), None),
+        ("planar", "6", ("--n", "14", "--x-samples", "2"), "x_checks"),
+        ("chordal-bipartite", "8", (), "gen_attempts"),
+    ):
+        args = ["verify", "--class", cls, "--count", count, "--seed", "5", "--format", "json"]
+        args += extra
+        _, out1 = run_cli(capsys, *args)
+        _, out2 = run_cli(capsys, *args, "--jobs", "2")
+        assert strip(out1) == strip(out2), cls
+        if field:
+            assert all(field in rec for rec in strip(out2)[0]), cls
 
 
 def test_construct_tree(capsys, tmp_path):
@@ -174,6 +183,16 @@ def test_construct_recognition_failure(capsys, tmp_path):
     assert records[0]["passed"] is False and "error" in records[0]
 
 
+def test_failed_construct_record_is_replayable(capsys, tmp_path):
+    path = tmp_path / "k4.g6"
+    path.write_text("C~\n")
+    code, out = run_cli(capsys, "construct", "--class", "tree", str(path), "--format", "json")
+    assert code == 1
+    rec = json_records(out)[0][0]
+    assert (rec["graph6"], rec["n"], rec["m"]) == ("C~", 4, 6)
+    assert rec["wall_time"] > 0
+
+
 def test_search_trivial_target(capsys):
     code, out = run_cli(
         capsys, "search", "--target", "1", "--n", "8", "--iterations", "40",
@@ -206,6 +225,48 @@ def test_lemmacheck_all(capsys):
         assert code == 0, lemma
         _, summary = json_records(out)
         assert summary["failures"] == 0
+
+
+def test_lemmacheck_records_carry_their_graph(capsys):
+    # Instance 100 of seed 0 makes the triangulation block (a known fault);
+    # its record must still name the input graph and its cost.
+    _, out = run_cli(
+        capsys, "lemmacheck", "--lemma", "triangulate", "--count", "101",
+        "--seed", "0", "--format", "json",
+    )
+    records, _ = json_records(out)
+    for rec in records:
+        g = parse_graph6(rec["graph6"])
+        assert (rec["n"], rec["m"]) == (g.n, g.m)
+        assert rec["wall_time"] > 0
+    assert (records[100]["graph6"], records[100]["n"], records[100]["m"]) == (
+        "JZgjbCKOqc?", 11, 22,
+    )
+
+
+def test_compute_fractional_solves_each_graph_once(capsys, monkeypatch, tmp_path):
+    import dompack.cli
+    import dompack.lp
+
+    calls = {"exact_domination": 0, "exact_packing": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (dompack.cli, dompack.lp):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    graphs = [gen_named(name) for name in ("K1", "C4", "P7", "C6")]
+    path = tmp_path / "in.g6"
+    path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    code, out = run_cli(capsys, "compute", str(path), "--fractional", "--format", "json")
+    assert code == 0
+    assert len(json_records(out)[0]) == len(graphs)
+    assert calls == {"exact_domination": len(graphs), "exact_packing": len(graphs)}
 
 
 def test_table_and_csv_formats(capsys, tmp_path):

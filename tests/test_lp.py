@@ -96,6 +96,7 @@ def test_sandwich_random():
         assert report.holds
         assert report.rho == exact_packing(g).value
         assert report.gamma == exact_domination(g).value
+        assert verify_sandwich(g, gamma=report.gamma, rho=report.rho) == report
 
 
 def test_against_independent_float_solver():

@@ -18,6 +18,7 @@ from dompack import (
     max_ratio,
     maximal_packing_keyed,
 )
+from dompack.errors import GraphError
 from dompack.generators import GenSpec, all_graphs, derive_seed, gen_gnp, gen_tree
 
 
@@ -154,20 +155,9 @@ def test_small_graph_oracle_agreement():
             assert exact_packing(g).value == brute_force_packing(g).value
 
 
-def test_keyed_packing_depth_sum():
-    p5 = gen_named("P5")
-    result = maximal_packing_keyed(p5, "depth-sum-max", root=0)
-    assert result.converged
-    assert 4 in result.packing
-    # oracle: no maximal packing has a larger depth sum
-    depths = p5.bfs_depths(0)
-    best = max(sum(depths[v] for v in p) for p in all_maximal_packings(p5))
-    assert sum(depths[v] for v in result.packing) == best
-
-
 def test_keyed_packing_index_sum():
     c6 = gen_named("C6")
-    result = maximal_packing_keyed(c6, "index-sum-min", ordering=tuple(range(6)))
+    result = maximal_packing_keyed(c6, tuple(range(6)))
     assert sorted(result.packing) == [0, 3]
     # oracle: {0,3} is the unique index-sum minimizer among maximal packings
     sums = sorted(
@@ -176,17 +166,13 @@ def test_keyed_packing_index_sum():
     assert sums[0] == (3, (0, 3))
 
     k1 = gen_named("K1")
-    assert sorted(maximal_packing_keyed(k1, "index-sum-min", ordering=(0,)).packing) == [0]
+    assert sorted(maximal_packing_keyed(k1, (0,)).packing) == [0]
 
 
 def test_keyed_packing_argument_validation():
     g = gen_named("C4")
-    with pytest.raises(Exception):
-        maximal_packing_keyed(g, "index-sum-min")
-    with pytest.raises(Exception):
-        maximal_packing_keyed(g, "depth-sum-max")
-    with pytest.raises(Exception):
-        maximal_packing_keyed(g, "nonsense", root=0)
-    disconnected = gen_gnp(GenSpec("gnp", 4, 1, {"edge_prob": 0.0}))
-    with pytest.raises(Exception):
-        maximal_packing_keyed(disconnected, "depth-sum-max", root=0)
+    with pytest.raises(TypeError):
+        maximal_packing_keyed(g)
+    for bad in ((0, 1, 2), (0, 1, 2, 2), (1, 2, 3, 4)):
+        with pytest.raises(GraphError):
+            maximal_packing_keyed(g, bad)
