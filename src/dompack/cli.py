@@ -79,6 +79,17 @@ DEFAULT_MAX_N = {
     "any": 12,
 }
 
+# The smallest --n each class's instance generator can draw from.
+MIN_N = {
+    "tree": 2,
+    "strongly-chordal": 2,
+    "chordal-bipartite": 4,
+    "homogeneously-orderable": 2,
+    "planar": 4,
+    "rook": 4,
+    "any": 2,
+}
+
 
 def _record(g: Graph | None, t0: float, **fields) -> dict:
     """One CLI record: the only place a graph becomes a record.
@@ -157,8 +168,20 @@ def _read_graphs(path: str) -> list[Graph]:
 
 
 def _parse_x_set(text: str, g: Graph) -> VertexSet:
-    members = [int(tok) for tok in text.replace(",", " ").split()]
+    try:
+        members = [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise DompackError(f"--x-set must list vertex indices, got {text!r}") from None
     return VertexSet(g.n, members)
+
+
+def _max_n(n: int | None, default: int, least: int) -> int:
+    """The --n value, or `default` when it is not given; below `least` is an error."""
+    if n is None:
+        return default
+    if n < least:
+        raise DompackError(f"--n must be at least {least}, got {n}")
+    return n
 
 
 # -- compute -------------------------------------------------------------------
@@ -264,7 +287,7 @@ def _verify_one(payload: tuple) -> dict:
 def cmd_verify(args) -> int:
     cls = args.cls
     bound = Fraction(args.bound) if args.bound else DEFAULT_BOUNDS[cls]
-    max_n = args.n or DEFAULT_MAX_N[cls]
+    max_n = _max_n(args.n, DEFAULT_MAX_N[cls], MIN_N[cls])
     payloads = [
         (
             _instance_spec(cls, i, args.seed, max_n, args.x_prob).to_json(),
@@ -424,7 +447,7 @@ def _connected_min_degree2_embedding(seed: int, n_max: int):
 
 def cmd_lemmacheck(args) -> int:
     records = []
-    n_max = args.n or 40
+    n_max = _max_n(args.n, 40, 4)  # triangulate and charge-audit draw n from 4..n_max
     for i in range(args.count):
         sub = derive_seed(args.seed, 7_000_000 + i)
         t0 = time.perf_counter()

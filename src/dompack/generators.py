@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationBudgetError, GraphError
-from .graph import Graph
+from .graph import Graph, _mask_bits
 from .recognition import (
     find_homogeneous_ordering,
     find_simple_elimination_ordering,
@@ -354,33 +354,32 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def _perm_tables(n: int):
-    import numpy as np
-    from itertools import permutations as _perms
+def _canonical_mask(mask: int, n: int) -> int:
+    """Minimum pair-mask over all n! vertex relabelings: the canonical form of
+    `all_graphs`, which calls it for n <= 7 (exact for any n).
 
-    npairs = n * (n - 1) // 2
-    table = []
-    for perm in _perms(range(n)):
-        row = [0] * npairs
-        for j in range(1, n):
-            for i in range(j):
-                a, b = perm[i], perm[j]
-                row[_pair_index(i, j)] = _pair_index(min(a, b), max(a, b))
-        table.append(row)
-    return np.array(table, dtype=np.int64), np.int64(1) << np.arange(npairs, dtype=np.int64)
+    Positions fill from n-1 down.  Vertex w at position j fixes column j (bits
+    (i, j), i < j), which outweighs every later column and is smallest with w's
+    neighbours lowest in each cell of the unplaced vertices (bottom cell first).
+    Only top-cell vertices tying for that smallest column are tried, each
+    splitting every cell into (neighbours of w, the rest).
+    """
+    adj = list(map(_mask_to_graph(mask, n).adjacency_mask, range(n)))
 
+    def least(cells: list[int], j: int) -> int:
+        if j == 0:
+            return 0
+        scored = []
+        for w in _mask_bits(cells[-1]):
+            rest, col = cells[:-1] + [cells[-1] & ~(1 << w)], 0
+            for c in reversed(rest):
+                col = (col << c.bit_count()) | ((1 << (adj[w] & c).bit_count()) - 1)
+            scored.append((col, [p for c in rest for p in (c & adj[w], c & ~adj[w]) if p]))
+        low = min(col for col, _ in scored)
+        tail = min(least(split, j - 1) for col, split in scored if col == low)
+        return (low << j * (j - 1) // 2) | tail
 
-def _canonical_mask(mask: int, n: int, cache={}) -> int:
-    """Minimum pair-mask over all vertex relabelings (exact, n <= 8)."""
-    import numpy as np
-
-    if n not in cache:
-        cache[n] = _perm_tables(n)
-    table, pow2 = cache[n]
-    npairs = n * (n - 1) // 2
-    bits = np.array([(mask >> k) & 1 for k in range(npairs)], dtype=np.int64)
-    values = (bits[table] * pow2).sum(axis=1)
-    return int(values.min())
+    return least([(1 << n) - 1], n - 1)
 
 
 def _mask_to_graph(mask: int, n: int) -> Graph:
@@ -393,11 +392,13 @@ def _mask_to_graph(mask: int, n: int) -> Graph:
 
 
 def all_graphs(n: int) -> list[Graph]:
-    """All non-isomorphic simple graphs on n vertices (exact, n <= 7).
+    """All non-isomorphic simple graphs on n vertices, capped at n <= 7.
 
     Level k graphs come from attaching a new vertex to every level k-1
     representative with every possible neighborhood, then deduplicating by
-    the minimum-relabeling canonical form.
+    the canonical form `_canonical_mask`: the minimum pair-mask (edge i < j at
+    bit j(j-1)/2 + i) over all vertex relabelings.  Each representative is the
+    graph of its canonical mask, returned in increasing mask order.
     """
     if not 1 <= n <= 7:
         raise GraphError("exhaustive graph enumeration is capped at n <= 7")

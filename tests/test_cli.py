@@ -1,6 +1,9 @@
+import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from dompack import emit_graph6, gen_named, parse_graph6
 from dompack.cli import main
@@ -60,6 +63,33 @@ def test_compute_parse_failure(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C\n")
     assert main(["compute", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--class", "tree", "--n", "1"],
+        ["verify", "--class", "strongly-chordal", "--n", "1"],
+        ["verify", "--class", "homogeneously-orderable", "--n", "1"],
+        ["verify", "--class", "any", "--n", "1"],
+        ["verify", "--class", "chordal-bipartite", "--n", "3"],
+        ["verify", "--class", "planar", "--n", "3"],
+        ["verify", "--class", "tree", "--n", "-5"],
+        ["verify", "--class", "rook", "--n", "-5"],
+        ["verify", "--class", "tree", "--n", "0"],
+        ["lemmacheck", "--lemma", "triangulate", "--n", "3"],
+        ["lemmacheck", "--lemma", "charge-audit", "--n", "3"],
+        ["lemmacheck", "--lemma", "discharge", "--n", "0"],
+        ["compute", "-", "--x-set", "a"],
+    ],
+)
+def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
+    # Exit 1 means a bound was violated; bad input is exit 2 with a message.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
+    if argv[0] != "compute":
+        argv = argv + ["--count", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_tree_clean(capsys):

@@ -1,8 +1,15 @@
+import hashlib
+import itertools
+import random
+import subprocess
+import sys
+
 import pytest
 
 from dompack import (
     GenerationBudgetError,
     GraphError,
+    emit_graph6,
     exact_packing,
     find_homogeneous_ordering,
     find_simple_elimination_ordering,
@@ -11,6 +18,7 @@ from dompack import (
 )
 from dompack.generators import (
     GenSpec,
+    _canonical_mask,
     all_graphs,
     all_trees,
     derive_seed,
@@ -155,3 +163,55 @@ def test_all_graphs_pairwise_nonisomorphic_n5():
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             assert not nx.is_isomorphic(graphs[i], graphs[j])
+
+
+def _brute_canonical(mask, n):
+    """Minimum pair-mask over every relabeling in itertools.permutations."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # pair k is bit k
+    bit = {pair: k for k, pair in enumerate(pairs)}
+    return min(
+        sum(
+            1 << k
+            for k, (i, j) in enumerate(pairs)
+            if mask >> bit[tuple(sorted((perm[i], perm[j])))] & 1
+        )
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _edges_mask(edges):
+    return sum(1 << (max(e) * (max(e) - 1) // 2 + min(e)) for e in edges)
+
+
+def test_canonical_mask_matches_brute_force():
+    cases = [(mask, n) for n in range(1, 6) for mask in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(2014)
+    cases += [(rng.getrandbits(15), 6) for _ in range(200)]
+    cycle7 = _edges_mask([(i, (i + 1) % 7) for i in range(7)])  # many ties
+    cases += [(0, 7), ((1 << 21) - 1, 7), (cycle7, 7)]
+    for mask, n in cases:
+        assert _canonical_mask(mask, n) == _brute_canonical(mask, n), (mask, n)
+
+
+def test_all_graphs_representatives_pinned():
+    # Any change to a representative, or to their order, changes the digest.
+    graphs = [all_graphs(n) for n in range(1, 8)]
+    assert [len(level) for level in graphs] == GRAPH_COUNTS
+    text = "\n".join(emit_graph6(g) for level in graphs for g in level)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3f38f4458e7a0b07d4d97cb801e787b14451ec82260b28b8d6959ffa97fc99b6"
+    )
+
+
+def test_runtime_needs_no_numpy():
+    script = """
+import io, sys
+import dompack, dompack.cli
+from dompack.generators import all_graphs
+assert len(all_graphs(6)) == 156
+sys.stdin = io.StringIO("C~\\nEhEG\\n")
+assert dompack.cli.main(["compute", "-", "--fractional"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
