@@ -19,7 +19,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import codec
@@ -175,6 +174,13 @@ def _parse_x_set(text: str, g: Graph) -> VertexSet:
     return VertexSet(g.n, members)
 
 
+def _parse_fraction(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DompackError(f"{option} must be a rational number, got {text!r}") from None
+
+
 def _max_n(n: int | None, default: int, least: int) -> int:
     """The --n value, or `default` when it is not given; below `least` is an error."""
     if n is None:
@@ -286,7 +292,7 @@ def _verify_one(payload: tuple) -> dict:
 
 def cmd_verify(args) -> int:
     cls = args.cls
-    bound = Fraction(args.bound) if args.bound else DEFAULT_BOUNDS[cls]
+    bound = _parse_fraction(args.bound, "--bound") if args.bound else DEFAULT_BOUNDS[cls]
     max_n = _max_n(args.n, DEFAULT_MAX_N[cls], MIN_N[cls])
     payloads = [
         (
@@ -297,6 +303,9 @@ def cmd_verify(args) -> int:
         for i in range(args.count)
     ]
     if args.jobs > 1:
+        # Imported here: multiprocessing adds ~1.4 MB of RSS to every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_verify_one, payloads))
     else:
@@ -369,7 +378,7 @@ def cmd_construct(args) -> int:
 def cmd_search(args) -> int:
     if args.n > 30:
         raise DompackError("extremal search is capped at n <= 30")
-    target = Fraction(args.target)
+    target = _parse_fraction(args.target, "--target")
     rng = random.Random(args.seed)
     best_graph, best = None, {"ratio": Fraction(0)}
     t0 = time.perf_counter()

@@ -4,6 +4,15 @@
 bitmask state; `brute_force_*` enumerate vertex subsets outright and exist
 purely to validate the branch-and-bound path.  Ties break toward the lowest
 vertex index everywhere so witnesses are reproducible.
+
+Both searches branch on the most constrained vertex.  Domination is a set
+cover of the uncovered vertices by closed neighbourhoods: it branches on the
+uncovered vertex with the fewest closed neighbours, over only those
+dominators whose new coverage no other dominator contains.  Packing is a
+maximum independent set of G^2 on the eligible vertices: it branches on the
+eligible vertex with the fewest eligible conflicts, over its conflicts, and
+takes the vertex outright when those conflicts are pairwise conflicting.
+Each solver's docstring says why its rules lose no optimum.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import GraphError
-from .graph import Graph, VertexSet, is_packing
+from .graph import Graph, VertexSet, _mask_bits, is_packing
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,23 @@ def _greedy_packing(second: tuple[int, ...], eligible: int) -> tuple[int, ...]:
 
 
 def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
-    """Minimum D with N[D] u X = V(g); gamma(g) when x is empty or None."""
+    """Minimum D with N[D] u X = V(g); gamma(g) when x is empty or None.
+
+    X is pre-covered, so gamma_X is the same search started from X.  Each
+    node branches on the uncovered vertex v with the fewest closed neighbours
+    (ties to the lowest index): some dominator of v is in every solution, so
+    trying each u in N[v] loses nothing.  A candidate u is dropped when
+    another candidate w covers every uncovered vertex u covers (for equal
+    coverage, all but the lowest index are dropped): swapping u for w in any
+    solution still dominates V, so some optimum uses a kept candidate.  A
+    packing of uncovered vertices bounds the dominators still needed.
+    """
     n = g.n
     full = (1 << n) - 1
     closed = g.closed_masks
     second = g.second_masks
     start = x.mask if x is not None else 0
+    by_degree = sorted(range(n), key=lambda v: (closed[v].bit_count(), v))
 
     incumbent = _greedy_cover(n, closed, start)
     best_size = len(incumbent)
@@ -88,14 +108,14 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
         uncovered = full & ~covered
         if size + packing_lower_bound(uncovered) >= best_size:
             return
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v]
-        while cands:
-            low = cands & -cands
-            u = low.bit_length() - 1
-            cands ^= low
+        v = next(v for v in by_degree if (uncovered >> v) & 1)
+        gains = [(u, closed[u] & uncovered) for u in _mask_bits(closed[v])]
+        for u, gain in gains:
+            # u itself never qualifies as its own w: equal gain, w == u.
+            if any(gain & ~other == 0 and (gain != other or w < u) for w, other in gains):
+                continue
             chosen.append(u)
-            dfs(covered | closed[u], size + 1)
+            dfs(covered | gain, size + 1)
             chosen.pop()
 
     dfs(start, 0)
@@ -103,7 +123,19 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
 
 
 def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
-    """Maximum P disjoint from X with pairwise disjoint closed neighborhoods."""
+    """Maximum P disjoint from X with pairwise disjoint closed neighborhoods.
+
+    A packing is an independent set of G^2 (two members conflict when their
+    closed neighbourhoods meet) on the vertices outside X.  Each node takes
+    the eligible vertex v with the fewest eligible conflicts C (v included;
+    ties to the lowest index).  Some maximum packing meets C, since v
+    conflicts with nothing outside C and could otherwise be added.  If C is
+    pairwise conflicting, any packing holds at most one vertex of C and v
+    blocks nothing else, so v is taken without branching.  Otherwise the
+    search tries each u in C in ascending order and drops u from the later
+    branches, whose packings without u are all that is left.  A cover of the
+    eligible set by closed neighbourhoods bounds what a branch can add.
+    """
     n = g.n
     closed = g.closed_masks
     second = g.second_masks
@@ -146,13 +178,20 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
             best_set = tuple(chosen)
         if not eligible:
             return
+        v = min(_mask_bits(eligible), key=lambda u: (second[u] & eligible).bit_count())
+        conflicts = second[v] & eligible
+        if all(conflicts & ~second[u] == 0 for u in _mask_bits(conflicts)):
+            chosen.append(v)
+            dfs(eligible & ~conflicts, size + 1)
+            chosen.pop()
+            return
         if size + cover_upper_bound(eligible) <= best_size:
             return
-        v = (eligible & -eligible).bit_length() - 1
-        chosen.append(v)
-        dfs(eligible & ~second[v], size + 1)
-        chosen.pop()
-        dfs(eligible & ~(1 << v), size)
+        for u in _mask_bits(conflicts):
+            chosen.append(u)
+            dfs(eligible & ~second[u], size + 1)
+            chosen.pop()
+            eligible &= ~(1 << u)
 
     dfs(eligible0, 0)
     return SolveResult(best_size, VertexSet(n, best_set), nodes, True)

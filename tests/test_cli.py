@@ -81,12 +81,14 @@ def test_compute_parse_failure(capsys, tmp_path):
         ["lemmacheck", "--lemma", "charge-audit", "--n", "3"],
         ["lemmacheck", "--lemma", "discharge", "--n", "0"],
         ["compute", "-", "--x-set", "a"],
+        ["verify", "--class", "tree", "--bound", "x"],
+        ["search", "--target", "x"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
     # Exit 1 means a bound was violated; bad input is exit 2 with a message.
     monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
-    if argv[0] != "compute":
+    if argv[0] in ("verify", "lemmacheck"):
         argv = argv + ["--count", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

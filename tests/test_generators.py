@@ -212,6 +212,7 @@ assert len(all_graphs(6)) == 156
 sys.stdin = io.StringIO("C~\\nEhEG\\n")
 assert dompack.cli.main(["compute", "-", "--fractional"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "multiprocessing" not in sys.modules, "multiprocessing was imported"
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

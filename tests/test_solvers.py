@@ -17,9 +17,12 @@ from dompack import (
     is_packing,
     max_ratio,
     maximal_packing_keyed,
+    parse_graph6,
+    tree_dompack,
 )
 from dompack.errors import GraphError
 from dompack.generators import GenSpec, all_graphs, derive_seed, gen_gnp, gen_tree
+from dompack.planar import random_planar
 
 
 def all_maximal_packings(g):
@@ -176,3 +179,82 @@ def test_keyed_packing_argument_validation():
     for bad in ((0, 1, 2), (0, 1, 2, 2), (1, 2, 3, 4)):
         with pytest.raises(GraphError):
             maximal_packing_keyed(g, bad)
+
+
+def milp_values(g, x):
+    """Oracle: gamma_X and rho_X as 0/1 programs solved by scipy's HiGHS."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = g.n
+    closed = np.array([[(g.closed_masks[v] >> u) & 1 for u in range(n)] for v in range(n)])
+    in_x = np.array([(x.mask >> v) & 1 for v in range(n)])
+    ones = np.ones(n)
+    # Every vertex outside X has a dominator in its closed neighbourhood.
+    dom = milp(ones, constraints=LinearConstraint(closed[in_x == 0], 1, np.inf),
+               integrality=ones, bounds=Bounds(0, 1))
+    # No closed neighbourhood holds two packing members; X holds none.
+    pack = milp(-ones, constraints=LinearConstraint(closed, -np.inf, 1),
+                integrality=ones, bounds=Bounds(0, 1 - in_x))
+    assert dom.success and pack.success
+    return round(dom.fun), round(-pack.fun)
+
+
+def test_milp_oracle_past_brute_force():
+    rng = random.Random(13)
+    graphs = []
+    for i in range(24):
+        n = 20 + (i * 7) % 21
+        graphs.append(gen_gnp(GenSpec(
+            "gnp", n, derive_seed(1104, i), {"edge_prob": (0.08, 0.15, 0.3)[i % 3]}
+        )))
+        graphs.append(random_planar(derive_seed(1105, i), n, rng.randrange(n, 2 * n)))
+    for g in graphs:
+        for x in (None, VertexSet(g.n, [v for v in range(g.n) if rng.random() < 0.2])):
+            dom = exact_domination(g, x)
+            pack = exact_packing(g, x)
+            assert is_dominating(g, dom.witness, x) and len(dom.witness) == dom.value
+            assert is_packing(g, pack.witness, x) and len(pack.witness) == pack.value
+            assert (dom.value, pack.value) == milp_values(g, x or VertexSet(g.n, [])), g.n
+
+
+def test_tree_oracle_to_n200():
+    # Meir-Moon: gamma = rho on trees, and tree_dompack finds |D| = |P|.
+    for i in range(40):
+        t = gen_tree(GenSpec("tree", 200 - (i * 37) % 181, derive_seed(1106, i)))
+        cert = tree_dompack(t, 0)
+        dom = exact_domination(t)
+        pack = exact_packing(t)
+        assert cert.valid and is_dominating(t, cert.d) and is_packing(t, cert.p)
+        assert is_dominating(t, dom.witness) and is_packing(t, pack.witness)
+        assert dom.value == pack.value == len(cert.d) == len(cert.p)
+        assert len(dom.witness) == dom.value and len(pack.witness) == pack.value
+
+
+def test_verify_tree_node_counts(capsys, monkeypatch):
+    # The trees of `verify --class tree --seed 0`.  Node counts do not depend
+    # on the machine, so growth here is a search regression, not noise.
+    import dompack.cli
+
+    nodes = {"exact_domination": [], "exact_packing": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            nodes[name].append(result.nodes_explored)
+            return result
+
+        return wrapper
+
+    for name in nodes:
+        monkeypatch.setattr(dompack.cli, name, counted(name, getattr(dompack.cli, name)))
+    argv = ["verify", "--class", "tree", "--count", "150", "--seed", "0", "--format", "json"]
+    assert dompack.cli.main(argv) == 0
+    capsys.readouterr()
+    for name, counts in nodes.items():
+        assert len(counts) == 150
+        assert sum(counts) <= 10_000 and max(counts) <= 100, (name, sum(counts), max(counts))
+
+
+def test_readme_quickstart_witness():
+    assert repr(exact_packing(parse_graph6("C~")).witness) == "VertexSet(4, {0})"
