@@ -70,7 +70,6 @@ from .generators import (
     generate,
 )
 from .solvers import (
-    KeyedPackingResult,
     SolveResult,
     brute_force_domination,
     brute_force_packing,
@@ -78,7 +77,6 @@ from .solvers import (
     exact_packing,
     greedy_domination,
     max_ratio,
-    maximal_packing_keyed,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -144,18 +144,26 @@ def _emit(records: list[dict], summary: dict, args) -> None:
         lines.append("summary: " + json.dumps(summary, sort_keys=True))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DompackError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
 def _read_graphs(path: str) -> list[Graph]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise DompackError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DompackError(f"cannot read {path}: not a text file") from None
     graphs = []
     for line in text.splitlines():
         line = line.strip()
@@ -350,10 +358,9 @@ def cmd_construct(args) -> int:
                     raise DompackError("input is not chordal bipartite")
                 cert = chordal_bipartite_dompack(g)
             elif cls == "homogeneously-orderable":
-                ordering = find_homogeneous_ordering(g)
-                if ordering is None:
+                if find_homogeneous_ordering(g) is None:
                     raise DompackError("input is not homogeneously orderable")
-                cert = homogeneously_orderable_dompack(g, ordering)
+                cert = homogeneously_orderable_dompack(g)
             else:
                 raise DompackError(f"no constructive algorithm for class {cls!r}")
         except DompackError as exc:

@@ -1,5 +1,11 @@
 """Constructive domination-packing pairs for the four tractable classes.
 
+Trees (deepest-first from a root) and strongly chordal graphs (along a
+simple elimination ordering) get gamma = rho pairs in one pass; chordal
+bipartite graphs combine the two split-clique strongly chordal graphs;
+homogeneously orderable graphs get a maximum packing and a dominating set at
+most twice its size from a clique cover of G^2, following the
+Brandstaedt-Dragan-Nicolai characterisation of the class.
 Every algorithm emits a DomPackCertificate that is revalidated against the
 graph predicates before it leaves this module; an invalid certificate raises
 instead of being returned.
@@ -14,19 +20,15 @@ from fractions import Fraction
 from .errors import ConstructionError, GraphError
 from .graph import Graph, VertexSet, _mask_bits, is_dominating, is_packing
 from .recognition import (
-    HOMOGENEOUS,
     SIMPLE_ELIMINATION,
     Ordering,
-    _h_extremal_search,
     bipartition,
     find_simple_elimination_ordering,
     is_chordal_bipartite,
     is_tree,
     split_clique,
-    validate_homogeneous_ordering,
     validate_simple_elimination_ordering,
 )
-from .solvers import maximal_packing_keyed
 
 
 @dataclass(frozen=True)
@@ -167,125 +169,100 @@ def chordal_bipartite_dompack(g: Graph) -> DomPackCertificate:
     return _finalize(g, DomPackCertificate(d, p, "chordal-bipartite", Fraction(2)))
 
 
-_ENUMERATION_CAP = 24
+def _join_side(adj: tuple[int, ...], u: int) -> int:
+    """The co-component of U's lowest vertex: the complement of g[U] grown
+    from it.  It is a proper subset of U exactly when U = U_1 join U_2 with
+    this side as U_1; every member of it is adjacent to all of the rest."""
+    side = frontier = u & -u
+    while frontier:
+        grow = 0
+        for x in _mask_bits(frontier):
+            grow |= u & ~adj[x]
+        frontier = grow & ~side
+        side |= frontier
+    return side
 
 
-def _all_maximal_packings(g: Graph) -> list[int]:
-    """Every maximal packing of g, as masks (include/exclude recursion)."""
+def homogeneously_orderable_dompack(g: Graph) -> DomPackCertificate:
+    """gamma <= 2 rho pair from a clique cover of G^2, following the proof.
+
+    Brandstaedt, Dragan and Nicolai (Homogeneously orderable graphs, TCS 172,
+    1997) characterise the class: g is homogeneously orderable iff G^2 is
+    chordal and every maximal two-set U (a set of pairwise distance <= 2,
+    i.e. a maximal clique of G^2) is join-split: |U| = 1, or the complement
+    of g[U] is disconnected, so U = U_1 join U_2 with both sides nonempty.
+    One pass over G^2 checks that and builds the pair:
+
+    1. Maximum cardinality search on G^2, reversed, is a perfect elimination
+       ordering exactly when G^2 is chordal (Tarjan and Yannakakis, SIAM J.
+       Comput. 13, 1984); every clique {v} + (later
+       G^2-neighbours of v) is checked, and GraphError is raised if G^2 is
+       not chordal.
+    2. The inclusion-maximal ones among those cliques are the maximal
+       two-sets; GraphError is raised unless each one is join-split.
+    3. Gavril's greedy (SIAM J. Comput. 1, 1972) walks the ordering: a
+       vertex v that is not yet covered joins P and covers its clique.  No
+       member of P lies in an earlier member's clique, so P is independent
+       in G^2, that is, a packing.  A vertex is covered by the first member
+       whose clique holds it, so the |P| cliques cover V, and a cover of G^2
+       by |P| cliques gives rho = alpha(G^2) <= |P|: P is a maximum packing.
+    4. For each member v, D takes the lowest vertex of each side of the
+       first maximal two-set U containing v's clique (v itself when
+       |U| = 1).  Each side is joined to the other, so the two vertices
+       dominate U, and D dominates V with |D| <= 2|P| = 2 rho.
+
+    Ties break toward the lowest index, so the certificate is deterministic.
+    """
     n = g.n
+    adj = g._adj
     second = g.second_masks
-    out: list[int] = []
 
-    def rec(mask: int, eligible: int) -> None:
-        if not eligible:
-            for v in range(n):
-                if not (mask >> v) & 1 and not any(
-                    (second[p] >> v) & 1 for p in _mask_bits(mask)
-                ):
-                    return
-            out.append(mask)
-            return
-        v = (eligible & -eligible).bit_length() - 1
-        rec(mask | (1 << v), eligible & ~second[v])
-        rec(mask, eligible & ~(1 << v))
+    weight = [0] * n
+    unvisited = (1 << n) - 1
+    visit = []
+    while unvisited:
+        v = max(_mask_bits(unvisited), key=weight.__getitem__)
+        visit.append(v)
+        unvisited &= ~(1 << v)
+        for u in _mask_bits(second[v] & unvisited):
+            weight[u] += 1
+    order = visit[::-1]
 
-    rec(0, (1 << n) - 1)
-    return out
+    cliques = []
+    remaining = (1 << n) - 1
+    for v in order:
+        clique = second[v] & remaining
+        remaining &= ~(1 << v)
+        if any(clique & ~second[u] for u in _mask_bits(clique)):
+            raise GraphError("G^2 is not chordal: graph is not homogeneously orderable")
+        cliques.append(clique)
 
-
-def _paired_dominating_set(
-    g: Graph, suffix_at: dict[int, int], p_mask: int, repair: bool
-) -> int | None:
-    """D = P + one suffix-witness vertex per member, optionally repaired.
-
-    The witness pair {v, f(v)} covers the distance-2 ball of v inside v's
-    suffix graph only; vertices reachable from P solely through
-    earlier-ordered middles can stay uncovered.  With `repair`, greedy cover
-    vertices are added for those while |D| <= 2|P| still holds; returns None
-    once the budget is exceeded (or immediately on a miss when not
-    repairing).
-    """
-    closed = g.closed_masks
-    full = (1 << g.n) - 1
-    d_mask = p_mask
-    for v in _mask_bits(p_mask):
-        witness = _h_extremal_search(g._adj, suffix_at[v], v, degree_cap=g.n)
-        if witness is None:
-            raise ConstructionError("validated ordering lost h-extremality; bug")
-        d_mask |= 1 << ((witness & -witness).bit_length() - 1)
-    covered = 0
-    for v in _mask_bits(d_mask):
-        covered |= closed[v]
-    budget = 2 * p_mask.bit_count()
-    while covered != full:
-        if not repair:
-            return None
-        uncov = full & ~covered
-        w = (uncov & -uncov).bit_length() - 1
-        best_u = -1
-        best_gain = -1
-        for u in _mask_bits(closed[w]):
-            gain = (closed[u] & uncov).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_u = u
-        d_mask |= 1 << best_u
-        covered |= closed[best_u]
-        if d_mask.bit_count() > budget:
-            return None
-    return d_mask if d_mask.bit_count() <= budget else None
-
-
-def homogeneously_orderable_dompack(g: Graph, ordering: Ordering) -> DomPackCertificate:
-    """gamma <= 2 rho pair from a homogeneous ordering.
-
-    The primary packing comes from the index-sum-min keyed local search over
-    the ordering positions, paired with one suffix-witness vertex f(v) per
-    member.  That pairing alone can miss vertices whose distance-2 paths to
-    the packing run through earlier-ordered middles, so when revalidation
-    would fail the construction falls back to other maximal packings and
-    then to a budgeted greedy cover repair, never returning an unvalidated
-    certificate.
-    """
-    if ordering.kind != HOMOGENEOUS:
-        raise GraphError(f"expected a {HOMOGENEOUS} ordering")
-    if not validate_homogeneous_ordering(g, ordering):
-        raise GraphError("ordering is not a homogeneous ordering of g")
-
-    suffix_at = {}
-    active = (1 << g.n) - 1
-    for v in ordering.perm:
-        suffix_at[v] = active
-        active &= ~(1 << v)
-
-    search = maximal_packing_keyed(g, ordering.perm)
-    d_mask = _paired_dominating_set(g, suffix_at, search.packing.mask, repair=False)
-    p_mask = search.packing.mask
-
-    if d_mask is None and g.n <= _ENUMERATION_CAP:
-        packings = _all_maximal_packings(g)
-        for pm in sorted(packings):
-            d_mask = _paired_dominating_set(g, suffix_at, pm, repair=False)
-            if d_mask is not None:
-                p_mask = pm
-                break
+    dominators = []
+    for u in cliques:
+        if any(u != w and u & w == u for w in cliques):
+            continue
+        side = _join_side(adj, u)
+        if side == u:
+            if u.bit_count() > 1:
+                raise GraphError(
+                    "maximal two-set is not join-split: graph is not homogeneously orderable"
+                )
+            dominators.append((u, u))
         else:
-            # Larger packings leave more repair budget; try those first.
-            for pm in sorted(packings, key=lambda m: (-m.bit_count(), m)):
-                d_mask = _paired_dominating_set(g, suffix_at, pm, repair=True)
-                if d_mask is not None:
-                    p_mask = pm
-                    break
+            rest = u & ~side
+            dominators.append((u, (side & -side) | (rest & -rest)))
 
-    if d_mask is None:
-        detail = "" if search.converged else " (packing search hit its exchange cap)"
-        raise ConstructionError(
-            f"homogeneously-orderable construction did not converge{detail}"
-        )
+    covered = p_mask = d_mask = 0
+    for v, clique in zip(order, cliques):
+        if (covered >> v) & 1:
+            continue
+        p_mask |= 1 << v
+        covered |= clique
+        d_mask |= next(pair for u, pair in dominators if clique & ~u == 0)
 
     cert = DomPackCertificate(
-        VertexSet.from_mask(g.n, d_mask),
-        VertexSet.from_mask(g.n, p_mask),
+        VertexSet.from_mask(n, d_mask),
+        VertexSet.from_mask(n, p_mask),
         "homogeneously-orderable",
         Fraction(2),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -29,12 +30,14 @@ from .graph import Graph, Multigraph, VertexSet, _mask_bits
 
 
 class TriangulationBlocked(DompackError, RuntimeError):
-    """No admissible chord exists on some face; see the module notes.
+    """No admissible chord exists on some face.
 
-    This can genuinely happen on inputs with pendant-like faces (for example
-    a path on three vertices whose endpoints are both in the independent
-    set); such inputs falsify the triangulation lemma as literally stated.
-    Inputs with minimum degree >= 2 never start in this situation.
+    Inputs of minimum degree >= 2 never raise this: the chord rule of
+    `triangulate_preserving_independent` always has a candidate on them (its
+    docstring gives the argument).  A vertex of degree 1 can leave a face
+    with none, for example a path on three vertices whose endpoints are both
+    in the independent set; such inputs falsify the triangulation lemma as
+    literally stated.
     """
 
 
@@ -409,9 +412,22 @@ def triangulate_preserving_independent(
     """Add edges until every face is a triangle, never joining two members of
     `independent`; the result may contain parallel edges.
 
-    Each long face gets a chord between two vertices at distance 2 along the
-    face walk (never the same vertex twice, never two independent-set
-    members); ties break toward the lexicographically least endpoint pair.
+    Each long face gets a chord from a vertex u that is not in `independent`
+    and appears exactly once on the face walk, to the vertex two steps on;
+    ties break toward the lexicographically least endpoint pair.  The chord
+    never joins u to itself or two independent-set members, and on inputs of
+    minimum degree >= 2 some face vertex always qualifies:
+
+    - After its chord, u still appears exactly once on the face left over
+      (the chord followed by the old walk from its far end back to u), so a
+      residual face that is still long keeps a candidate.
+    - Every face of the input has one.  Each visit of the walk to a vertex
+      enters and leaves it along two distinct edges (a walk that turns back
+      on itself needs a vertex of degree 1), so the face boundary has minimum
+      degree >= 2 and a leaf block of it is a cycle.  All but at most one
+      vertex of that cycle are not cut vertices of the boundary and appear
+      once on the walk; two of them are consecutive on the cycle, hence
+      adjacent, and at most one of them is in the independent set.
     """
     if not emb.is_simple():
         raise PreconditionError("triangulation input must be simple")
@@ -436,15 +452,14 @@ def triangulate_preserving_independent(
             k = len(walk)
             if k <= 3:
                 continue
+            tails = [work.tail(d) for d in walk]
+            counts = Counter(tails)
             best_j = -1
             best_pair = None
-            for j in range(k):
-                x = work.tail(walk[j])
-                z = work.tail(walk[(j + 2) % k])
-                if x == z:
+            for j, x in enumerate(tails):
+                if counts[x] != 1 or (ind >> x) & 1:
                     continue
-                if (ind >> x) & 1 and (ind >> z) & 1:
-                    continue
+                z = tails[(j + 2) % k]
                 pair = (min(x, z), max(x, z))
                 if best_pair is None or pair < best_pair:
                     best_pair = pair

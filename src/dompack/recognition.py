@@ -214,13 +214,11 @@ def bipartition(g: Graph) -> tuple[VertexSet, VertexSet]:
 
 def split_clique(g: Graph, side: VertexSet) -> Graph:
     """g plus all edges inside `side`; (side, complement) must 2-color g."""
-    other = side.complement()
     for u, v in g.edges():
         if (u in side) == (v in side):
             raise GraphError(
                 f"({u},{v}) joins one side: (side, complement) is not a bipartition"
             )
-    del other
     extra = []
     members = side.members()
     for i, u in enumerate(members):

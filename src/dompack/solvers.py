@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import GraphError
 from .graph import Graph, VertexSet, _mask_bits, is_packing
 
 
@@ -241,71 +240,3 @@ def max_ratio(g: Graph) -> Fraction:
     gamma = exact_domination(g).value
     rho = exact_packing(g).value
     return Fraction(gamma, rho)
-
-
-@dataclass(frozen=True)
-class KeyedPackingResult:
-    packing: VertexSet
-    converged: bool
-    iterations: int
-
-
-def maximal_packing_keyed(g: Graph, ordering: tuple[int, ...]) -> KeyedPackingResult:
-    """Maximal packing locally optimal under single-vertex exchange.
-
-    The key is the sum of the members' positions in `ordering` (a permutation
-    of 0..n-1), minimized.  Exchanges re-complete greedily to maximality in
-    ordering order and are capped at n^2 accepted moves.
-    """
-    n = g.n
-    second = g.second_masks
-    if sorted(ordering) != list(range(n)):
-        raise GraphError("ordering is not a permutation of 0..n-1")
-    weight = [0] * n
-    for p_idx, v in enumerate(ordering):
-        weight[v] = p_idx
-
-    def complete(mask: int) -> int:
-        blocked = 0
-        for v in range(n):
-            if (mask >> v) & 1:
-                blocked |= second[v]
-        for v in ordering:
-            if not (mask >> v) & 1 and not (blocked >> v) & 1:
-                mask |= 1 << v
-                blocked |= second[v]
-        return mask
-
-    def key_of(mask: int) -> int:
-        return sum(weight[v] for v in range(n) if (mask >> v) & 1)
-
-    current = complete(0)
-    current_key = key_of(current)
-    cap = n * n
-    iterations = 0
-    improved = True
-    while improved and iterations < cap:
-        improved = False
-        members = [v for v in range(n) if (current >> v) & 1]
-        for a in members:
-            without = current & ~(1 << a)
-            blocked = 0
-            for v in range(n):
-                if (without >> v) & 1:
-                    blocked |= second[v]
-            for b in range(n):
-                if (current >> b) & 1 or (blocked >> b) & 1:
-                    continue
-                candidate = complete(without | (1 << b))
-                cand_key = key_of(candidate)
-                if cand_key < current_key:
-                    current, current_key = candidate, cand_key
-                    iterations += 1
-                    improved = True
-                    break
-            if improved:
-                break
-    converged = not improved
-    result = VertexSet.from_mask(n, current)
-    assert is_packing(g, result)
-    return KeyedPackingResult(result, converged, iterations)

@@ -210,10 +210,10 @@ def test_criterion_4_homogeneously_orderable_bound(request):
             assert gamma <= 2 * rho
             ordering = find_homogeneous_ordering(g)
             assert ordering is not None
-            cert = homogeneously_orderable_dompack(g, ordering)
+            cert = homogeneously_orderable_dompack(g)
             assert cert.valid and len(cert.d) <= 2 * len(cert.p)
         c4 = gen_named("C4")
-        cert = homogeneously_orderable_dompack(c4, find_homogeneous_ordering(c4))
+        cert = homogeneously_orderable_dompack(c4)
         assert len(cert.d) == 2 and len(cert.p) == 1  # equality at C_4
 
 

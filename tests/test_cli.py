@@ -83,10 +83,15 @@ def test_compute_parse_failure(capsys, tmp_path):
         ["compute", "-", "--x-set", "a"],
         ["verify", "--class", "tree", "--bound", "x"],
         ["search", "--target", "x"],
+        ["compute", "missing.g6"],
+        ["compute", "-", "--out", "missing-dir/out.json"],
+        ["compute", "binary.dat"],
     ],
 )
-def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
+def test_bad_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     # Exit 1 means a bound was violated; bad input is exit 2 with a message.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.dat").write_bytes(b"\xff\xfe\n")
     monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
     if argv[0] in ("verify", "lemmacheck"):
         argv = argv + ["--count", "2"]
@@ -193,15 +198,21 @@ def test_construct_homogeneously_orderable(capsys, tmp_path):
     from dompack.generators import gen_distance_hereditary
 
     g = gen_distance_hereditary(GenSpec("distance-hereditary", 11, 17))
+    # Instance 4 of `verify --class homogeneously-orderable --n 40 --seed 0`:
+    # n = 33, gamma = rho = 6.
+    n33 = "`CGh[A@AC_O@?GJ_Do@[BJ_Cm@w?A?@?A???J_DcB??@oNa?A????O?Q?_?Q????cB??a@_???????_@???A@A@GD"
     path = tmp_path / "dh.g6"
-    path.write_text(emit_graph6(g) + "\n")
+    path.write_text(emit_graph6(g) + "\n" + n33 + "\n")
     code, out = run_cli(
         capsys, "construct", "--class", "homogeneously-orderable", str(path), "--format", "json"
     )
     assert code == 0
     records, _ = json_records(out)
-    cert = records[0]["certificate"]
-    assert len(cert["D"]) <= 2 * len(cert["P"]) and cert["valid"] is True
+    for rec in records:
+        cert = rec["certificate"]
+        assert len(cert["D"]) <= 2 * len(cert["P"]) and cert["valid"] is True
+        assert len(cert["P"]) == rec["rho"]
+    assert (records[1]["n"], records[1]["gamma"], records[1]["rho"]) == (33, 6, 6)
 
 
 def test_construct_recognition_failure(capsys, tmp_path):
@@ -259,21 +270,38 @@ def test_lemmacheck_all(capsys):
         assert summary["failures"] == 0
 
 
-def test_lemmacheck_records_carry_their_graph(capsys):
-    # Instance 100 of seed 0 makes the triangulation block (a known fault);
-    # its record must still name the input graph and its cost.
-    _, out = run_cli(
-        capsys, "lemmacheck", "--lemma", "triangulate", "--count", "101",
+def test_lemmacheck_records_carry_their_graph(capsys, monkeypatch):
+    # Instance 100 of seed 0 once made the lowest-pair chord rule block; the
+    # campaign now passes, and every record, failed ones included, names its
+    # input graph and its cost.
+    code, out = run_cli(
+        capsys, "lemmacheck", "--lemma", "triangulate", "--count", "200",
         "--seed", "0", "--format", "json",
     )
+    assert code == 0
     records, _ = json_records(out)
-    for rec in records:
-        g = parse_graph6(rec["graph6"])
-        assert (rec["n"], rec["m"]) == (g.n, g.m)
-        assert rec["wall_time"] > 0
     assert (records[100]["graph6"], records[100]["n"], records[100]["m"]) == (
         "JZgjbCKOqc?", 11, 22,
     )
+
+    import dompack.cli
+    from dompack.planar import TriangulationBlocked
+
+    def blocked(emb, ind):
+        raise TriangulationBlocked("forced")
+
+    monkeypatch.setattr(dompack.cli, "triangulate_preserving_independent", blocked)
+    code, out = run_cli(
+        capsys, "lemmacheck", "--lemma", "triangulate", "--count", "5",
+        "--seed", "0", "--format", "json",
+    )
+    assert code == 1
+    failed, _ = json_records(out)
+    assert not any(rec["passed"] for rec in failed)
+    for rec in records + failed:
+        g = parse_graph6(rec["graph6"])
+        assert (rec["n"], rec["m"]) == (g.n, g.m)
+        assert rec["wall_time"] > 0
 
 
 def test_compute_fractional_solves_each_graph_once(capsys, monkeypatch, tmp_path):

@@ -19,6 +19,7 @@ from dompack import (
 )
 from dompack.generators import (
     GenSpec,
+    all_graphs,
     all_trees,
     derive_seed,
     gen_chordal_bipartite,
@@ -138,12 +139,12 @@ def test_chordal_bipartite_rejects():
 
 def test_homogeneously_orderable_examples():
     c4 = gen_named("C4")
-    cert = homogeneously_orderable_dompack(c4, find_homogeneous_ordering(c4))
+    cert = homogeneously_orderable_dompack(c4)
     check_certificate(c4, cert)
     assert len(cert.p) == 1 and len(cert.d) == 2
 
     k1 = gen_named("K1")
-    cert = homogeneously_orderable_dompack(k1, find_homogeneous_ordering(k1))
+    cert = homogeneously_orderable_dompack(k1)
     assert sorted(cert.d) == [0] and sorted(cert.p) == [0]
 
 
@@ -152,20 +153,36 @@ def test_homogeneously_orderable_dh_instances():
         g = gen_distance_hereditary(
             GenSpec("distance-hereditary", 3 + i % 12, derive_seed(1403, i))
         )
-        ordering = find_homogeneous_ordering(g)
-        cert = homogeneously_orderable_dompack(g, ordering)
+        cert = homogeneously_orderable_dompack(g)
         check_certificate(g, cert)
-        assert len(cert.p) <= exact_packing(g).value
+        assert len(cert.p) == exact_packing(g).value
         assert len(cert.d) >= exact_domination(g).value
 
 
-def test_homogeneously_orderable_rejects_bad_ordering():
-    c4 = gen_named("C4")
-    with pytest.raises(GraphError):
-        homogeneously_orderable_dompack(c4, Ordering((0, 1, 2, 3), "simple-elimination"))
-    p5 = gen_named("P5")
-    with pytest.raises(GraphError):
-        homogeneously_orderable_dompack(p5, Ordering((2, 0, 1, 3, 4), "homogeneous"))
+def test_homogeneously_orderable_exhaustive_small():
+    # The construction accepts exactly the graphs the backtracking search
+    # orders, and on each its packing is maximum.
+    accepted = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            if find_homogeneous_ordering(g) is None:
+                with pytest.raises(GraphError):
+                    homogeneously_orderable_dompack(g)
+                continue
+            cert = homogeneously_orderable_dompack(g)
+            check_certificate(g, cert)
+            assert len(cert.p) == exact_packing(g).value
+            accepted += 1
+    assert accepted == 814
+
+
+def test_homogeneously_orderable_rejects():
+    # C5: G^2 = K5 is chordal, but its one maximal two-set is not join-split.
+    with pytest.raises(GraphError, match="join-split"):
+        homogeneously_orderable_dompack(gen_named("C5"))
+    # C6: G^2 is the octahedron, with the chordless 4-cycle 0-1-3-4.
+    with pytest.raises(GraphError, match="not chordal"):
+        homogeneously_orderable_dompack(gen_named("C6"))
 
 
 def test_certificate_determinism():
@@ -177,6 +194,11 @@ def test_certificate_determinism():
 
     t = gen_tree(GenSpec("tree", 20, 778))
     assert tree_dompack(t, 3).d == tree_dompack(t, 3).d
+
+    h = gen_distance_hereditary(GenSpec("distance-hereditary", 20, 779))
+    a = homogeneously_orderable_dompack(h)
+    b = homogeneously_orderable_dompack(h)
+    assert a.d == b.d and a.p == b.p
 
 
 def test_certificate_json_schema():

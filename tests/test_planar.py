@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from dompack import (
     random_planar_embedding,
     triangulate_preserving_independent,
 )
-from dompack.generators import derive_seed
+from dompack.generators import all_graphs, derive_seed
 from dompack.planar import TriangulationBlocked, icosahedron_embedding
 
 
@@ -125,6 +126,32 @@ def test_triangulate_preconditions():
     disconnected = PlanarEmbedding(3, [(0, 1)], [[0], [1], []])
     with pytest.raises(PreconditionError):
         triangulate_preserving_independent(disconnected, VertexSet(3, []))
+
+
+def test_triangulate_never_blocks_exhaustive_small():
+    # Every connected planar graph on <= 7 vertices with minimum degree >= 2
+    # (one networkx embedding each), with every nonempty independent set.
+    import networkx as nx
+
+    pairs = 0
+    for n in range(3, 8):
+        for g in all_graphs(n):
+            if not g.is_connected() or g.min_degree() < 2:
+                continue
+            planar, emb_nx = nx.check_planarity(nx.Graph(g.edges()))
+            if not planar:
+                continue
+            rotation = [list(emb_nx.neighbors_cw_order(v)) for v in range(n)]
+            emb = PlanarEmbedding.from_json(json.dumps({"n": n, "rotation": rotation}))
+            closed = g.closed_masks
+            for mask in range(1, 1 << n):
+                if any((mask >> v) & 1 and closed[v] & mask != 1 << v for v in range(n)):
+                    continue
+                tri = triangulate_preserving_independent(emb, VertexSet.from_mask(n, mask))
+                assert tri.is_triangulated()
+                assert not any((mask >> u) & 1 and (mask >> v) & 1 for u, v in tri.edges)
+                pairs += 1
+    assert pairs == 7291
 
 
 def test_triangulate_blocked_on_pathological_input():

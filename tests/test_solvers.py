@@ -1,8 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-
-import pytest
 
 from dompack import (
     VertexSet,
@@ -16,29 +13,11 @@ from dompack import (
     is_dominating,
     is_packing,
     max_ratio,
-    maximal_packing_keyed,
     parse_graph6,
     tree_dompack,
 )
-from dompack.errors import GraphError
 from dompack.generators import GenSpec, all_graphs, derive_seed, gen_gnp, gen_tree
 from dompack.planar import random_planar
-
-
-def all_maximal_packings(g):
-    """Oracle: filter all subsets for maximal packings."""
-    out = []
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            p = VertexSet(g.n, combo)
-            if not is_packing(g, p):
-                continue
-            extendable = any(
-                v not in p and is_packing(g, p.add(v)) for v in range(g.n)
-            )
-            if not extendable:
-                out.append(p)
-    return out
 
 
 def test_domination_examples():
@@ -156,29 +135,6 @@ def test_small_graph_oracle_agreement():
         for g in all_graphs(n):
             assert exact_domination(g).value == brute_force_domination(g).value
             assert exact_packing(g).value == brute_force_packing(g).value
-
-
-def test_keyed_packing_index_sum():
-    c6 = gen_named("C6")
-    result = maximal_packing_keyed(c6, tuple(range(6)))
-    assert sorted(result.packing) == [0, 3]
-    # oracle: {0,3} is the unique index-sum minimizer among maximal packings
-    sums = sorted(
-        (sum(p), tuple(sorted(p))) for p in all_maximal_packings(c6)
-    )
-    assert sums[0] == (3, (0, 3))
-
-    k1 = gen_named("K1")
-    assert sorted(maximal_packing_keyed(k1, (0,)).packing) == [0]
-
-
-def test_keyed_packing_argument_validation():
-    g = gen_named("C4")
-    with pytest.raises(TypeError):
-        maximal_packing_keyed(g)
-    for bad in ((0, 1, 2), (0, 1, 2, 2), (1, 2, 3, 4)):
-        with pytest.raises(GraphError):
-            maximal_packing_keyed(g, bad)
 
 
 def milp_values(g, x):
