@@ -13,6 +13,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -143,14 +144,19 @@ def _emit(records: list[dict], summary: dict, args) -> None:
             )
         lines.append("summary: " + json.dumps(summary, sort_keys=True))
     text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DompackError(f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+    try:
+        args.stream.write(text)
+        args.stream.flush()
+    except OSError as exc:
+        raise DompackError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from None
+
+
+def _open_out(path: str | None):
+    """Open --out before any instance is solved, so a bad path wastes no work."""
+    try:
+        return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise DompackError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _read_graphs(path: str) -> list[Graph]:
@@ -366,11 +372,13 @@ def cmd_construct(args) -> int:
         except DompackError as exc:
             records.append(_record(g, t0, passed=False, error=str(exc)))
             continue
+        # |P| <= rho <= gamma <= |D|, so a valid certificate with |D| = |P| settles both.
+        settled = cert.valid and len(cert.d) == len(cert.p)
         records.append(_record(
             g, t0,
             certificate=json.loads(cert.to_json()),
-            gamma=exact_domination(g).value,
-            rho=exact_packing(g).value,
+            gamma=len(cert.d) if settled else exact_domination(g).value,
+            rho=len(cert.p) if settled else exact_packing(g).value,
             bound=cert.bound_constant,
             passed=cert.valid and len(cert.d) <= cert.bound_constant * len(cert.p),
         ))
@@ -570,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _open_out(args.out) as args.stream:
+            return args.func(args)
     except DompackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

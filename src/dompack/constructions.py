@@ -22,6 +22,7 @@ from .graph import Graph, VertexSet, _mask_bits, is_dominating, is_packing
 from .recognition import (
     SIMPLE_ELIMINATION,
     Ordering,
+    _square_cliques,
     bipartition,
     find_simple_elimination_ordering,
     is_chordal_bipartite,
@@ -169,88 +170,25 @@ def chordal_bipartite_dompack(g: Graph) -> DomPackCertificate:
     return _finalize(g, DomPackCertificate(d, p, "chordal-bipartite", Fraction(2)))
 
 
-def _join_side(adj: tuple[int, ...], u: int) -> int:
-    """The co-component of U's lowest vertex: the complement of g[U] grown
-    from it.  It is a proper subset of U exactly when U = U_1 join U_2 with
-    this side as U_1; every member of it is adjacent to all of the rest."""
-    side = frontier = u & -u
-    while frontier:
-        grow = 0
-        for x in _mask_bits(frontier):
-            grow |= u & ~adj[x]
-        frontier = grow & ~side
-        side |= frontier
-    return side
-
-
 def homogeneously_orderable_dompack(g: Graph) -> DomPackCertificate:
     """gamma <= 2 rho pair from a clique cover of G^2, following the proof.
 
-    Brandstaedt, Dragan and Nicolai (Homogeneously orderable graphs, TCS 172,
-    1997) characterise the class: g is homogeneously orderable iff G^2 is
-    chordal and every maximal two-set U (a set of pairwise distance <= 2,
-    i.e. a maximal clique of G^2) is join-split: |U| = 1, or the complement
-    of g[U] is disconnected, so U = U_1 join U_2 with both sides nonempty.
-    One pass over G^2 checks that and builds the pair:
-
-    1. Maximum cardinality search on G^2, reversed, is a perfect elimination
-       ordering exactly when G^2 is chordal (Tarjan and Yannakakis, SIAM J.
-       Comput. 13, 1984); every clique {v} + (later
-       G^2-neighbours of v) is checked, and GraphError is raised if G^2 is
-       not chordal.
-    2. The inclusion-maximal ones among those cliques are the maximal
-       two-sets; GraphError is raised unless each one is join-split.
-    3. Gavril's greedy (SIAM J. Comput. 1, 1972) walks the ordering: a
+    1. `recognition._square_cliques` checks the characterisation (G^2
+       chordal, every maximal two-set join-split) or raises GraphError.
+    2. Gavril's greedy (SIAM J. Comput. 1, 1972) walks the ordering: a
        vertex v that is not yet covered joins P and covers its clique.  No
        member of P lies in an earlier member's clique, so P is independent
        in G^2, that is, a packing.  A vertex is covered by the first member
        whose clique holds it, so the |P| cliques cover V, and a cover of G^2
        by |P| cliques gives rho = alpha(G^2) <= |P|: P is a maximum packing.
-    4. For each member v, D takes the lowest vertex of each side of the
-       first maximal two-set U containing v's clique (v itself when
-       |U| = 1).  Each side is joined to the other, so the two vertices
-       dominate U, and D dominates V with |D| <= 2|P| = 2 rho.
+    3. For each member v, D takes the lowest vertex of each side of the
+       first maximal two-set U = U_1 join U_2 containing v's clique; the
+       two dominate U, so D dominates V with |D| <= 2|P| = 2 rho.
 
     Ties break toward the lowest index, so the certificate is deterministic.
     """
     n = g.n
-    adj = g._adj
-    second = g.second_masks
-
-    weight = [0] * n
-    unvisited = (1 << n) - 1
-    visit = []
-    while unvisited:
-        v = max(_mask_bits(unvisited), key=weight.__getitem__)
-        visit.append(v)
-        unvisited &= ~(1 << v)
-        for u in _mask_bits(second[v] & unvisited):
-            weight[u] += 1
-    order = visit[::-1]
-
-    cliques = []
-    remaining = (1 << n) - 1
-    for v in order:
-        clique = second[v] & remaining
-        remaining &= ~(1 << v)
-        if any(clique & ~second[u] for u in _mask_bits(clique)):
-            raise GraphError("G^2 is not chordal: graph is not homogeneously orderable")
-        cliques.append(clique)
-
-    dominators = []
-    for u in cliques:
-        if any(u != w and u & w == u for w in cliques):
-            continue
-        side = _join_side(adj, u)
-        if side == u:
-            if u.bit_count() > 1:
-                raise GraphError(
-                    "maximal two-set is not join-split: graph is not homogeneously orderable"
-                )
-            dominators.append((u, u))
-        else:
-            rest = u & ~side
-            dominators.append((u, (side & -side) | (rest & -rest)))
+    order, cliques, dominators = _square_cliques(g._adj, (1 << n) - 1)
 
     covered = p_mask = d_mask = 0
     for v, clique in zip(order, cliques):

@@ -135,40 +135,37 @@ def gen_chordal_bipartite_with_stats(spec: GenSpec) -> tuple[Graph, int]:
 
 
 def gen_distance_hereditary(spec: GenSpec) -> Graph:
-    """Grow from K_1 by random pendant / true-twin / false-twin additions;
-    each emitted instance must pass the homogeneous-ordering filter, so
-    membership in the homogeneously orderable class is certified, never
-    assumed."""
+    """Grow from K_1 by random pendant / true-twin / false-twin additions.
+
+    Distance-hereditary graphs are homogeneously orderable (Brandstaedt,
+    Dragan and Nicolai, TCS 172, 1997) and the recognizer is exact, so one
+    attempt always suffices; membership is still certified, never assumed."""
     n = spec.n
     if n < 1:
         raise GraphError("distance-hereditary growth needs n >= 1")
-    budget = spec.params.get("budget", 50)
     ops = tuple(spec.params.get("ops", ("pendant", "true-twin", "false-twin")))
     if not ops or any(op not in ("pendant", "true-twin", "false-twin") for op in ops):
         raise GraphError(f"unknown growth ops {ops!r}")
-    for attempt in range(1, budget + 1):
-        rng = random.Random(derive_seed(spec.seed, attempt))
-        edges: list[tuple[int, int]] = []
-        adj: list[set[int]] = [set()]
-        for new in range(1, n):
-            target = rng.randrange(new)
-            op = rng.choice(ops)
-            if op == "pendant":
-                nbrs = {target}
-            elif op == "true-twin":
-                nbrs = adj[target] | {target}
-            else:
-                nbrs = set(adj[target])
-            adj.append(set(nbrs))
-            for u in nbrs:
-                adj[u].add(new)
-                edges.append((u, new))
-        g = Graph(n, edges)
-        if find_homogeneous_ordering(g) is not None:
-            return g
-    raise GenerationBudgetError(
-        f"no homogeneously orderable instance in {budget} attempts"
-    )
+    rng = random.Random(derive_seed(spec.seed, 1))
+    edges: list[tuple[int, int]] = []
+    adj: list[set[int]] = [set()]
+    for new in range(1, n):
+        target = rng.randrange(new)
+        op = rng.choice(ops)
+        if op == "pendant":
+            nbrs = {target}
+        elif op == "true-twin":
+            nbrs = adj[target] | {target}
+        else:
+            nbrs = set(adj[target])
+        adj.append(set(nbrs))
+        for u in nbrs:
+            adj[u].add(new)
+            edges.append((u, new))
+    g = Graph(n, edges)
+    if find_homogeneous_ordering(g) is None:
+        raise GraphError("grown graph is not homogeneously orderable")
+    return g
 
 
 def gen_rook(k: int, l: int) -> Graph:

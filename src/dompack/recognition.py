@@ -2,21 +2,19 @@
 
 Trees, strongly chordal graphs (via greedy simple-vertex elimination),
 chordal bipartite graphs (via the split-clique reduction), and homogeneously
-orderable graphs (via backtracking over h-extremal vertices).
+orderable graphs (via the Brandstaedt-Dragan-Nicolai characterisation, which
+also keeps a greedy h-extremal elimination from blocking), in polynomial time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, GraphError
+from .errors import GraphError
 from .graph import Graph, VertexSet, _mask_bits
 
 SIMPLE_ELIMINATION = "simple-elimination"
 HOMOGENEOUS = "homogeneous"
-
-H_EXTREMAL_DEGREE_CAP = 20
-HOMOGENEOUS_ORDERING_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -45,98 +43,152 @@ def is_homogeneous(g: Graph, a: VertexSet) -> bool:
     return all(g.adjacency_mask(v) & outside == target for v in members[1:])
 
 
-def _h_extremal_search(
-    adj: tuple[int, ...], active: int, v: int, degree_cap: int
-) -> int | None:
-    """Homogeneous D subset of N[v] dominating N^2[v] inside g[active].
+def _join_side(adj: tuple[int, ...], u: int) -> int:
+    """The co-component of U's lowest vertex: the complement of g[U] grown
+    from it.  It is a proper subset of U exactly when U = U_1 join U_2 with
+    this side as U_1; every member of it is adjacent to all of the rest."""
+    side = frontier = u & -u
+    while frontier:
+        grow = 0
+        for x in _mask_bits(frontier):
+            grow |= u & ~adj[x]
+        frontier = grow & ~side
+        side |= frontier
+    return side
 
-    Everything is computed in the induced subgraph on `active`.  Returns the
-    mask of the first witness in size-ascending, then lexicographic, order.
+
+def _square_cliques(
+    adj: tuple[int, ...], active: int
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """Brandstaedt, Dragan and Nicolai (Homogeneously orderable graphs, TCS
+    172, 1997): g[active] is homogeneously orderable iff G^2 is chordal and
+    every maximal two-set U (maximal clique of G^2) is join-split: |U| = 1 or
+    U = U_1 join U_2.  Reversed maximum cardinality search on G^2 is a perfect
+    elimination ordering iff G^2 is chordal (Tarjan and Yannakakis, SIAM J.
+    Comput. 13, 1984).  Returns it, each vertex's clique {v} + (later G^2
+    neighbours) in its order, and each maximal two-set with the lowest vertex
+    of each side; raises GraphError when the characterisation fails.
     """
+    second = [0] * len(adj)
+    for v in _mask_bits(active):
+        for u in _mask_bits((adj[v] & active) | (1 << v)):
+            second[v] |= adj[u] | (1 << u)
+        second[v] &= active
+
+    weight = [0] * len(adj)
+    unvisited = active
+    order, cliques = [], []
+    while unvisited:
+        v = max(_mask_bits(unvisited), key=weight.__getitem__)
+        unvisited &= ~(1 << v)
+        clique = second[v] & ~unvisited  # v and its G^2-neighbours visited before it
+        if any(clique & ~second[u] for u in _mask_bits(clique)):
+            raise GraphError("G^2 is not chordal: graph is not homogeneously orderable")
+        order.append(v)
+        cliques.append(clique)
+        for u in _mask_bits(second[v] & unvisited):
+            weight[u] += 1
+    order.reverse()
+    cliques.reverse()
+
+    two_sets = []
+    for u in cliques:
+        if any(u != w and u & w == u for w in cliques):
+            continue
+        side = _join_side(adj, u)
+        if side == u and u.bit_count() > 1:
+            raise GraphError(
+                "maximal two-set is not join-split: graph is not homogeneously orderable"
+            )
+        rest = u & ~side
+        two_sets.append((u, (side & -side) | (rest & -rest)))
+    return order, cliques, two_sets
+
+
+def _passes_characterisation(adj: tuple[int, ...], active: int) -> bool:
+    try:
+        _square_cliques(adj, active)
+    except GraphError:
+        return False
+    return True
+
+
+def _least_module(adj: tuple[int, ...], active: int, s: int, bound: int) -> int:
+    """Least module of g[active] holding `s`, or 0 once it leaves `bound`: it
+    takes in every vertex adjacent to some, but not all, of its members."""
+    module = some = 0
+    every = active
+    new = s
+    while new:
+        if new & ~bound:
+            return 0
+        module |= new
+        for x in _mask_bits(new):
+            some |= adj[x]
+            every &= adj[x]
+        new = some & ~every & active & ~module
+    return module
+
+
+def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
+    """The witness of `find_h_extremal_witness` in g[active] as a mask, or 0."""
     closed_v = (adj[v] & active) | (1 << v)
-    members = list(_mask_bits(closed_v))
-    if len(members) > degree_cap + 1:
-        raise BudgetExceededError(
-            f"h-extremal search over {len(members)} closed neighbors exceeds "
-            f"the degree cap {degree_cap}"
-        )
     second = closed_v
-    for u in _mask_bits(adj[v] & active):
-        second |= adj[u] & active
-    closed_in = {u: (adj[u] & active) | (1 << u) for u in members}
-
-    from itertools import combinations
-
-    for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            dmask = 0
-            for u in combo:
-                dmask |= 1 << u
-            outside = active & ~dmask
-            base = adj[combo[0]] & outside
-            if any(adj[u] & outside != base for u in combo[1:]):
-                continue
-            covered = 0
-            for u in combo:
-                covered |= closed_in[u]
-            if covered & second == second:
-                return dmask
-    return None
+    for u in _mask_bits(closed_v):
+        second |= adj[u]
+    left = closed_v
+    while left:
+        module = left & -left
+        for w in _mask_bits(closed_v):
+            if not (module >> w) & 1:
+                module |= _least_module(adj, active, module | (1 << w), closed_v)
+        left &= ~module
+        covered = module
+        for x in _mask_bits(module):
+            covered |= adj[x]
+        if second & active & ~covered == 0:
+            return module
+    return 0
 
 
-def find_h_extremal_witness(
-    g: Graph, v: int, *, degree_cap: int = H_EXTREMAL_DEGREE_CAP
-) -> HExtremalWitness | None:
-    """Witness that v is h-extremal, searched inside N[v].
+def find_h_extremal_witness(g: Graph, v: int) -> HExtremalWitness | None:
+    """Homogeneous D inside N[v] dominating N^2[v] (v is h-extremal), or None.
 
-    Restricting the search to subsets of N[v] loses nothing: whenever some
-    homogeneous subset of N^2[v] dominates N^2[v], one inside N[v] does too.
+    D is a module.  Domination only grows with D, and modules that share a
+    vertex have a module as their union, so the union M*(u) of u with each
+    least module M(u, w) inside N[v] (w in N[v]) is the largest candidate
+    holding u.  The M*(u) partition N[v], and the first that dominates N^2[v]
+    by lowest u is returned: polynomial time, with no degree cap.
     """
     g._check_vertex(v)
-    full = (1 << g.n) - 1
-    dmask = _h_extremal_search(g._adj, full, v, degree_cap)
-    if dmask is None:
-        return None
-    return HExtremalWitness(v, VertexSet.from_mask(g.n, dmask))
+    dmask = _h_extremal(g._adj, (1 << g.n) - 1, v)
+    return HExtremalWitness(v, VertexSet.from_mask(g.n, dmask)) if dmask else None
 
 
-def find_homogeneous_ordering(
-    g: Graph, *, node_budget: int = HOMOGENEOUS_ORDERING_BUDGET
-) -> Ordering | None:
-    """Backtracking search for a homogeneous ordering, or None.
+def find_homogeneous_ordering(g: Graph) -> Ordering | None:
+    """A homogeneous ordering of g, or None when g has none; polynomial time.
 
-    Raises BudgetExceededError when the backtracking budget runs out, which
-    is distinct from a definite negative answer.
+    Each step removes the lowest vertex v that is h-extremal in g[active] and
+    leaves g[active - v] passing the characterisation (`_square_cliques`);
+    None when no vertex does.  While g[active] is homogeneously orderable the
+    first vertex of any of its homogeneous orderings qualifies, and by the
+    characterisation each vertex taken leaves an orderable remainder, so the
+    greedy never blocks on a member.  Without the lookahead it strands 35 of
+    the 814 homogeneously orderable graphs on <= 7 vertices.
     """
     adj = g._adj
-    full = (1 << g.n) - 1
-    dead: set[int] = set()
-    nodes = 0
-
-    def extend(active: int, acc: list[int]) -> bool:
-        nonlocal nodes
-        if active == 0:
-            return True
-        if active in dead:
-            return False
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"homogeneous ordering search exceeded {node_budget} nodes"
-            )
+    active = (1 << g.n) - 1
+    perm = []
+    while active:
         for v in _mask_bits(active):
-            if _h_extremal_search(adj, active, v, H_EXTREMAL_DEGREE_CAP) is not None:
-                acc.append(v)
-                if extend(active & ~(1 << v), acc):
-                    return True
-                acc.pop()
-        dead.add(active)
-        return False
-
-    acc: list[int] = []
-    if extend(full, acc):
-        return Ordering(tuple(acc), HOMOGENEOUS)
-    return None
+            rest = active & ~(1 << v)
+            if _h_extremal(adj, active, v) and _passes_characterisation(adj, rest):
+                break
+        else:
+            return None
+        perm.append(v)
+        active = rest
+    return Ordering(tuple(perm), HOMOGENEOUS)
 
 
 def validate_homogeneous_ordering(g: Graph, ordering: Ordering) -> bool:
@@ -145,7 +197,7 @@ def validate_homogeneous_ordering(g: Graph, ordering: Ordering) -> bool:
         return False
     active = (1 << g.n) - 1
     for v in ordering.perm:
-        if _h_extremal_search(g._adj, active, v, H_EXTREMAL_DEGREE_CAP) is None:
+        if not _h_extremal(g._adj, active, v):
             return False
         active &= ~(1 << v)
     return True

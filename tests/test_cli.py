@@ -215,6 +215,38 @@ def test_construct_homogeneously_orderable(capsys, tmp_path):
     assert (records[1]["n"], records[1]["gamma"], records[1]["rho"]) == (33, 6, 6)
 
 
+def test_verify_homogeneously_orderable_at_n40(capsys):
+    # Instance 11 once exceeded the h-extremal search's degree cap of 20.
+    code, out = run_cli(
+        capsys, "verify", "--class", "homogeneously-orderable", "--n", "40",
+        "--count", "12", "--seed", "0", "--format", "json",
+    )
+    assert code == 0
+    records, summary = json_records(out)
+    assert len(records) == 12 and summary["violations"] == 0
+
+
+def test_construct_tree_takes_gamma_and_rho_from_certificate(capsys, monkeypatch, tmp_path):
+    # |P| <= rho <= gamma <= |D|, so a valid certificate with |D| = |P|
+    # proves both values and nothing is solved.
+    import dompack.cli
+    from dompack.generators import all_trees
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("construct solved a graph its certificate settles")
+
+    monkeypatch.setattr(dompack.cli, "exact_domination", unexpected)
+    monkeypatch.setattr(dompack.cli, "exact_packing", unexpected)
+    trees = [t for n in range(1, 9) for t in all_trees(n)]
+    path = tmp_path / "trees.g6"
+    path.write_text("".join(emit_graph6(t) + "\n" for t in trees))
+    code, out = run_cli(capsys, "construct", "--class", "tree", str(path), "--format", "json")
+    assert code == 0
+    records, _ = json_records(out)
+    assert len(records) == len(trees)
+    assert all(rec["gamma"] == rec["rho"] == len(rec["certificate"]["D"]) for rec in records)
+
+
 def test_construct_recognition_failure(capsys, tmp_path):
     path = tmp_path / "c6.g6"
     path.write_text(emit_graph6(gen_named("C6")) + "\n")
@@ -346,6 +378,21 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     lines = dst.read_text().strip().splitlines()
     assert json.loads(lines[0])["gamma"] == 2
+
+
+def test_bad_out_path_fails_before_any_solve(capsys, monkeypatch, tmp_path):
+    import dompack.cli
+
+    calls = []
+    solve = dompack.cli.exact_domination
+    monkeypatch.setattr(
+        dompack.cli, "exact_domination", lambda *a, **k: calls.append(a) or solve(*a, **k)
+    )
+    monkeypatch.chdir(tmp_path)
+    code = main(["verify", "--class", "tree", "--count", "5", "--out", "missing-dir/x.json"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write missing-dir/x.json")
+    assert calls == []
 
 
 def test_env_seed(capsys, monkeypatch):

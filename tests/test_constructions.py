@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from homogeneous_reference import homogeneous_ordering
 
 from dompack import (
     Graph,
@@ -8,7 +9,6 @@ from dompack import (
     chordal_bipartite_dompack,
     exact_domination,
     exact_packing,
-    find_homogeneous_ordering,
     find_simple_elimination_ordering,
     gen_named,
     homogeneously_orderable_dompack,
@@ -160,12 +160,12 @@ def test_homogeneously_orderable_dh_instances():
 
 
 def test_homogeneously_orderable_exhaustive_small():
-    # The construction accepts exactly the graphs the backtracking search
-    # orders, and on each its packing is maximum.
+    # The construction accepts exactly the graphs the exhaustive reference
+    # search orders, and on each its packing is maximum.
     accepted = 0
     for n in range(1, 8):
         for g in all_graphs(n):
-            if find_homogeneous_ordering(g) is None:
+            if homogeneous_ordering(g._adj, n) is None:
                 with pytest.raises(GraphError):
                     homogeneously_orderable_dompack(g)
                 continue

@@ -1,9 +1,13 @@
 from itertools import combinations
 
 import pytest
+from homogeneous_reference import (
+    h_extremal_witness,
+    homogeneous_ordering,
+    is_homogeneous_ordering,
+)
 
 from dompack import (
-    BudgetExceededError,
     Graph,
     GraphError,
     VertexSet,
@@ -89,17 +93,39 @@ def test_h_extremal_witness_validates():
 
 
 def test_h_extremal_degree_cap():
+    # No degree cap: the centre of a star with 25 leaves is h-extremal.
     star = gen_named("star25")
-    with pytest.raises(BudgetExceededError):
-        find_h_extremal_witness(star, 0)
-    # explicit higher cap works
-    assert find_h_extremal_witness(star, 0, degree_cap=30) is not None
+    witness = find_h_extremal_witness(star, 0)
+    assert witness is not None and witness.dominating_set.issubset(star.closed_neighborhood(0))
 
 
-def test_homogeneous_ordering_budget_is_distinct_from_none():
-    g = gen_named("C6")
-    with pytest.raises(BudgetExceededError):
-        find_homogeneous_ordering(g, node_budget=0)
+def test_h_extremal_module_test_matches_subset_search():
+    # Every (graph, vertex) pair on <= 6 vertices: the module test finds a
+    # witness exactly where the exhaustive subset search does.
+    pairs = 0
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            full = (1 << n) - 1
+            for v in range(n):
+                expected = h_extremal_witness(g._adj, full, v) is not None
+                assert (find_h_extremal_witness(g, v) is not None) == expected
+                pairs += 1
+    assert pairs == 1 + 2 * 2 + 3 * 4 + 4 * 11 + 5 * 34 + 6 * 156
+
+
+def test_homogeneous_ordering_matches_backtracking():
+    # Every graph on <= 7 vertices: the greedy accepts exactly the graphs the
+    # exhaustive backtracking orders, and each ordering it returns passes the
+    # reference h-extremal check.
+    accepted = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            ordering = find_homogeneous_ordering(g)
+            assert (ordering is None) == (homogeneous_ordering(g._adj, n) is None)
+            if ordering is not None:
+                assert is_homogeneous_ordering(g._adj, ordering.perm)
+                accepted += 1
+    assert accepted == 814
 
 
 def test_homogeneous_ordering_examples():
