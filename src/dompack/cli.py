@@ -484,7 +484,7 @@ def cmd_lemmacheck(args) -> int:
                 ok = tri.is_triangulated()
                 mg = tri.multigraph()
                 ok = ok and not any(u in ind and v in ind for u, v in mg.edges)
-                ok = ok and all(mg.degree(v) >= g.degree(v) for v in range(g.n))
+                ok = ok and all(tri.degree(v) >= g.degree(v) for v in range(g.n))
                 fields = {"independent_set": sorted(ind)}
             elif args.lemma == "discharge":
                 g = random_min_degree4_planar(sub, 6 + (i % (max(n_max, 12) - 5)) + 6)

@@ -146,7 +146,7 @@ class Graph:
         self.n = n
         self.m = m
         self._adj = tuple(adj)
-        self._closed = tuple(adj[v] | (1 << v) for v in range(n))
+        self._closed = tuple([adj[v] | (1 << v) for v in range(n)])
         self._second: tuple[int, ...] | None = None
 
     # -- low-level masks (used heavily by the solvers) --------------------

@@ -59,19 +59,22 @@ class PlanarEmbedding:
             if not (0 <= u < n and 0 <= v < n):
                 raise EmbeddingError(f"edge ({u},{v}) outside 0..{n - 1}")
         self.n = n
-        self.edges = tuple(tuple(e) for e in edges)
-        self.rotation = tuple(tuple(r) for r in rotation)
+        # tuple() of a list, not of a generator: a generator's tuple starts
+        # at 10 slots and is resized, which drifts CPython's tuple free lists.
+        self.edges = tuple([tuple(e) for e in edges])
+        self.rotation = tuple([tuple(r) for r in rotation])
 
         seen = [False] * (2 * m)
-        self._pos: dict[int, tuple[int, int]] = {}
+        # _pos[d] is the index of dart d in the rotation at its tail.
+        self._pos = [0] * (2 * m)
         for v, darts in enumerate(self.rotation):
             for idx, d in enumerate(darts):
                 if not 0 <= d < 2 * m or seen[d]:
                     raise EmbeddingError(f"dart {d} missing or repeated")
-                if self.tail(d) != v:
+                if self.edges[d >> 1][d & 1] != v:  # tail(d)
                     raise EmbeddingError(f"dart {d} listed at the wrong vertex")
                 seen[d] = True
-                self._pos[d] = (v, idx)
+                self._pos[d] = idx
         if not all(seen):
             raise EmbeddingError("some darts are absent from the rotation")
 
@@ -94,27 +97,32 @@ class PlanarEmbedding:
         return len(self.rotation[v])
 
     def next_dart(self, d: int) -> int:
-        v, idx = self._pos[d]
-        darts = self.rotation[v]
-        return darts[(idx + 1) % len(darts)]
+        darts = self.rotation[self.tail(d)]
+        return darts[(self._pos[d] + 1) % len(darts)]
 
     def face_next(self, d: int) -> int:
         return self.next_dart(d ^ 1)
 
     def _trace_faces(self) -> tuple[tuple[int, ...], ...]:
-        remaining = set(self._pos)
+        """Faces in order of their least dart, each walked from that dart."""
+        edges, rotation, pos = self.edges, self.rotation, self._pos
+        consumed = [False] * len(pos)
         faces = []
-        while remaining:
-            d0 = min(remaining)
+        for d0 in range(len(consumed)):
+            if consumed[d0]:
+                continue
             walk = []
             d = d0
             while True:
                 walk.append(d)
-                remaining.discard(d)
-                d = self.face_next(d)
+                consumed[d] = True
+                # d = face_next(d): the successor of d ^ 1 at its tail.
+                d ^= 1
+                darts = rotation[edges[d >> 1][d & 1]]
+                d = darts[(pos[d] + 1) % len(darts)]
                 if d == d0:
                     break
-                if d not in remaining:
+                if consumed[d]:
                     raise EmbeddingError("face walk revisited a consumed dart")
             faces.append(tuple(walk))
         return tuple(faces)
@@ -140,7 +148,7 @@ class PlanarEmbedding:
     # -- views ---------------------------------------------------------------
 
     def face_vertices(self, face: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.tail(d) for d in face)
+        return tuple([self.tail(d) for d in face])
 
     def face_sizes(self) -> list[int]:
         return sorted(len(f) for f in self.faces)
@@ -327,27 +335,6 @@ class _MutableEmbedding:
             idx = (idx + 1) % k
         self.faces.append(rest)
 
-    def delete_edge_merge_faces(self, e: int) -> list[int]:
-        """Remove edge e whose two darts lie on distinct faces; return the
-        merged face walk (with e's darts gone)."""
-        d, dr = 2 * e, 2 * e + 1
-        fi = next(i for i, f in enumerate(self.faces) if d in f)
-        gi = next(i for i, f in enumerate(self.faces) if dr in f)
-        if fi == gi:
-            raise EmbeddingError("deleting a bridge is not supported here")
-        fwalk = self.faces[fi]
-        gwalk = self.faces[gi]
-        di = fwalk.index(d)
-        gi2 = gwalk.index(dr)
-        merged = fwalk[di + 1:] + fwalk[:di] + gwalk[gi2 + 1:] + gwalk[:gi2]
-        for hi in sorted((fi, gi), reverse=True):
-            del self.faces[hi]
-        u, v = self.edges[e]
-        self.rot[u].remove(d)
-        self.rot[v].remove(dr)
-        self.faces.append(merged)
-        return merged
-
     def finish(self) -> PlanarEmbedding:
         return PlanarEmbedding(len(self.rot), self.edges, self.rot)
 
@@ -444,33 +431,31 @@ def triangulate_preserving_independent(
     work.rot = [list(r) for r in emb.rotation]
     work.faces = [list(f) for f in emb.faces]
 
-    progress = True
-    while progress:
-        progress = False
-        for fi in range(len(work.faces)):
-            walk = work.faces[fi]
-            k = len(walk)
-            if k <= 3:
+    # One pass over the face list; enumerate also reaches the faces that
+    # insert_chord appends.  Every face before fi has length <= 3 and
+    # insert_chord leaves faces[fi] a triangle, so the chords and their order
+    # are those of a rescan from face 0 after each chord.
+    for fi, walk in enumerate(work.faces):
+        k = len(walk)
+        if k <= 3:
+            continue
+        tails = [work.tail(d) for d in walk]
+        counts = Counter(tails)
+        best_j = -1
+        best_pair = None
+        for j, x in enumerate(tails):
+            if counts[x] != 1 or (ind >> x) & 1:
                 continue
-            tails = [work.tail(d) for d in walk]
-            counts = Counter(tails)
-            best_j = -1
-            best_pair = None
-            for j, x in enumerate(tails):
-                if counts[x] != 1 or (ind >> x) & 1:
-                    continue
-                z = tails[(j + 2) % k]
-                pair = (min(x, z), max(x, z))
-                if best_pair is None or pair < best_pair:
-                    best_pair = pair
-                    best_j = j
-            if best_j < 0:
-                raise TriangulationBlocked(
-                    f"face {tuple(work.tail(d) for d in walk)} admits no chord"
-                )
-            work.insert_chord(fi, best_j)
-            progress = True
-            break
+            z = tails[(j + 2) % k]
+            pair = (min(x, z), max(x, z))
+            if best_pair is None or pair < best_pair:
+                best_pair = pair
+                best_j = j
+        if best_j < 0:
+            raise TriangulationBlocked(
+                f"face {tuple(work.tail(d) for d in walk)} admits no chord"
+            )
+        work.insert_chord(fi, best_j)
     return work.finish()
 
 
@@ -515,7 +500,7 @@ def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedg
         if u in members and v in members:
             raise PreconditionError("designated low-degree set is not independent")
 
-    initial = tuple(Fraction(emb.degree(v) - 6) for v in range(emb.n))
+    initial = tuple([Fraction(emb.degree(v) - 6) for v in range(emb.n)])
     final = list(initial)
     transfers = []
     half = Fraction(1, 2)
@@ -528,7 +513,7 @@ def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedg
                     final[v] -= half
                     final[w] += half
     total = sum(final, Fraction(0))
-    negative = tuple(v for v in range(emb.n) if final[v] < 0)
+    negative = tuple([v for v in range(emb.n) if final[v] < 0])
     return ChargeLedger(initial, tuple(transfers), tuple(final), total, negative)
 
 
@@ -536,43 +521,59 @@ def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedg
 
 
 def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: int) -> None:
-    """Random diagonal flips on a triangulation; keeps it simple and maximal."""
+    """Random diagonal flips on a triangulation; keeps it simple and maximal.
+
+    Each attempt draws e = rng.randrange(len(work.edges)) and nothing else,
+    so the seed alone fixes every flip.  For the faces f = (d, d1, d2) of
+    dart d = 2e and g = (dr, g1, g2) of dr = 2e + 1, the attempt is skipped
+    when d and dr lie on one face, when c = tail(d2) equals z = tail(g2), or
+    when c and z are already adjacent.  Otherwise edge slot e becomes
+    (c, z): d is inserted after d1^1 at c, dr after g1^1 at z, and f and g
+    are rewritten in place to [d2, g1, dr] and [d, g2, d1].
+
+    Two structures persist across attempts, so a flip costs O(degree):
+    `adj[v]`, the adjacency bitmask of v, exact because no flip makes a
+    parallel edge; and `face_of[d]`, the index in `work.faces` of the face
+    holding dart d, which keeps its slot there.
+    """
+    edges, rot, faces = work.edges, work.rot, work.faces
+    adj = [0] * len(rot)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    face_of = [0] * (2 * len(edges))
+    for fi, walk in enumerate(faces):
+        for d in walk:
+            face_of[d] = fi
     for _ in range(attempts):
-        e = rng.randrange(len(work.edges))
+        e = rng.randrange(len(edges))
         d, dr = 2 * e, 2 * e + 1
-        fi = next(i for i, f in enumerate(work.faces) if d in f)
-        gi = next(i for i, f in enumerate(work.faces) if dr in f)
+        fi, gi = face_of[d], face_of[dr]
         if fi == gi:
             continue
-        fwalk, gwalk = work.faces[fi], work.faces[gi]
-        if len(fwalk) != 3 or len(gwalk) != 3:
+        f, g = faces[fi], faces[gi]
+        if len(f) != 3 or len(g) != 3:
             raise EmbeddingError("flip requires triangular faces")
-        di, gi2 = fwalk.index(d), gwalk.index(dr)
-        c = work.tail(fwalk[(di + 2) % 3])
-        z = work.tail(gwalk[(gi2 + 2) % 3])
-        if c == z:
+        di, dri = f.index(d), g.index(dr)
+        d1, d2 = f[(di + 1) % 3], f[(di + 2) % 3]
+        g1, g2 = g[(dri + 1) % 3], g[(dri + 2) % 3]
+        c, z = work.tail(d2), work.tail(g2)
+        if c == z or (adj[c] >> z) & 1:
             continue
-        adjacency = {(min(u, v), max(u, v)) for u, v in work.edges}
-        if (min(c, z), max(c, z)) in adjacency:
-            continue
-        merged = work.delete_edge_merge_faces(e)
-        # Reuse edge slot e for the new diagonal (c, z).
-        j = next(
-            i
-            for i in range(len(merged))
-            if work.tail(merged[i]) == c
-            and work.tail(merged[(i + 2) % len(merged)]) == z
-        )
-        walk = merged
-        k = len(walk)
-        dj, dj1 = walk[j], walk[(j + 1) % k]
-        djm1, dj2 = walk[(j - 1) % k], walk[(j + 2) % k]
-        work.edges[e] = (c, z)
-        work._insert_after(c, djm1 ^ 1, d)
-        work._insert_after(z, dj1 ^ 1, dr)
-        face_idx = next(i for i, f in enumerate(work.faces) if f == merged)
-        work.faces[face_idx] = [dj, dj1, dr]
-        work.faces.append([d, dj2, walk[(j + 3) % k]])
+        u, v = edges[e]
+        rot[u].remove(d)
+        rot[v].remove(dr)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        edges[e] = (c, z)
+        adj[c] |= 1 << z
+        adj[z] |= 1 << c
+        work._insert_after(c, d1 ^ 1, d)
+        work._insert_after(z, g1 ^ 1, dr)
+        f[:] = [d2, g1, dr]
+        g[:] = [d, g2, d1]
+        face_of[g1] = face_of[dr] = fi
+        face_of[d] = face_of[d1] = gi
 
 
 def random_min_degree4_planar(
@@ -586,6 +587,12 @@ def random_min_degree4_planar(
     until none remain; deleting a degree-3 vertex of a maximal planar graph
     leaves a maximal planar graph, so a surviving core with six or more
     vertices has minimum degree >= 4.
+
+    Attempt a draws only from its own generator, seeded derive_seed(seed, a):
+    first the insertion faces, then one edge per flip attempt, 6 |E| in all,
+    so every (seed, n) replays bit for bit.  The flips keep a dart-to-face
+    index and per-vertex adjacency masks across attempts (see
+    `_flip_random_edges`), so each costs O(degree).
     """
     if n < 6:
         raise GraphError("min-degree-4 planar graphs need n >= 6")

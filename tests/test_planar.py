@@ -1,7 +1,12 @@
+import gc
+import hashlib
 import json
+import platform
 import random
+import sys
 from fractions import Fraction
 
+import flip_reference
 import pytest
 
 from dompack import (
@@ -20,8 +25,14 @@ from dompack import (
     random_planar_embedding,
     triangulate_preserving_independent,
 )
-from dompack.generators import all_graphs, derive_seed
-from dompack.planar import TriangulationBlocked, icosahedron_embedding
+from dompack.codec import emit_graph6
+from dompack.generators import GenSpec, all_graphs, derive_seed, generate
+from dompack.planar import (
+    TriangulationBlocked,
+    _embed_maximal_planar,
+    _flip_random_edges,
+    icosahedron_embedding,
+)
 
 
 def c4_embedding():
@@ -259,3 +270,82 @@ def test_embedding_rejects_malformed():
         PlanarEmbedding(2, [(0, 0)], [[0, 1], []])  # self-loop
     with pytest.raises(EmbeddingError):
         PlanarEmbedding(2, [(0, 1)], [[1], [0]])  # darts at wrong vertices
+
+
+def test_incremental_flip_matches_rebuild_reference():
+    # Every (seed, n) pair: equal edges, rotation, faces and generator state.
+    pairs = 0
+    for seed in range(18):
+        for n in range(4, 61):
+            results = []
+            for flip in (flip_reference.flip_random_edges, _flip_random_edges):
+                rng = random.Random(derive_seed(seed, n))
+                work = _embed_maximal_planar(rng, n)
+                flip(work, rng, len(work.edges) // 4)
+                faces = sorted(tuple(f) for f in work.faces)
+                results.append((work.edges, work.rot, faces, rng.random()))
+            assert results[0] == results[1], (seed, n)
+            pairs += 1
+    assert pairs >= 1000
+
+
+def test_min_degree4_specs_replay():
+    # The graphs every recorded min-degree-4-planar GenSpec names; the digest
+    # was taken with the rebuild-per-flip generator.
+    text = "\n".join(
+        emit_graph6(generate(GenSpec("min-degree-4-planar", n, seed)))
+        for seed in range(12)
+        for n in (6, 7, 9, 12, 16, 24, 33, 48, 60)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "65d2fb474828a54889e88bce4a9d1188e8cf4c0a9e92431fce585d5b876fed83"
+    )
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="counts CPython's allocated blocks"
+)
+def test_embedding_and_audit_leave_tuple_free_lists_alone():
+    # tuple(<generator>) takes a 10-slot tuple and shrinks it, so every call
+    # moves a block from the length-10 free list to another length's, and the
+    # allocated-block count creeps up round after round.  No tuple here has
+    # exactly 20 items (n <= 11): CPython 3.11 free-lists length-20 tuples
+    # but never reuses them, whatever built them.
+    def audit_round():
+        for i in range(400):
+            n = 4 + i % 8
+            emb = random_planar_embedding(i, n, 3 * n - 6)
+            low = VertexSet(n, [v for v in range(n) if emb.degree(v) <= 7])
+            charge_audit(emb, greedy_maximal_independent_set(emb.graph(), low))
+
+    # A full collection empties the free lists, which would hide the creep.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        audit_round()
+        before = sys.getallocatedblocks()
+        for _ in range(5):
+            audit_round()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert grown < 200
+
+
+def test_triangulation_chords_pinned():
+    # Edges, rotation and faces of 179 triangulations; the digest was taken
+    # with the version that rescanned from face 0 after every chord.
+    digest = hashlib.sha256()
+    for attempt in range(400):
+        rng = random.Random(derive_seed(5, attempt))
+        n = rng.randrange(4, 41)
+        m = rng.randrange(int(1.4 * n), 3 * n - 5)
+        emb = random_planar_embedding(derive_seed(6, attempt), n, m)
+        g = emb.graph()
+        if g.is_connected() and g.min_degree() >= 2:
+            tri = triangulate_preserving_independent(emb, greedy_maximal_independent_set(g))
+            digest.update(repr((tri.edges, tri.rotation, tri.faces)).encode())
+    assert digest.hexdigest() == (
+        "301995802202bd3e167ee00b25bf998f259b7caba22d0cd7a4f6bb170f948df1"
+    )
