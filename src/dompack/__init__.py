@@ -22,7 +22,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    Multigraph,
     VertexSet,
     greedy_maximal_independent_set,
     is_dominating,

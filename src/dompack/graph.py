@@ -341,48 +341,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Multigraph:
-    """Loopless multigraph: vertex count plus an edge multiset.
-
-    Only the planar triangulation path produces parallel edges; everything
-    else in the package works with simple graphs.
-    """
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 < n <= MAX_VERTICES:
-            raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        normalized = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            normalized.append((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = tuple(sorted(normalized))
-        self.m = len(self.edges)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise VertexRangeError(f"vertex {v} outside 0..{self.n - 1}")
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        return sum(1 for e in self.edges if e == key)
-
-    @property
-    def is_simple(self) -> bool:
-        return len(set(self.edges)) == self.m
-
-    def as_simple(self) -> Graph:
-        """Collapse parallel edges to obtain the underlying simple graph."""
-        return Graph(self.n, sorted(set(self.edges)))
-
-    def __repr__(self) -> str:
-        return f"Multigraph(n={self.n}, m={self.m})"
-
-
 def greedy_maximal_independent_set(g: Graph, within: VertexSet | None = None) -> VertexSet:
     """Lowest-index-first maximal independent subset of `within` (or V)."""
     allowed = within.mask if within is not None else (1 << g.n) - 1

@@ -3,11 +3,12 @@ discharging machinery.
 
 An embedding stores, per vertex, the cyclic order of incident edge-ends
 (darts).  Edge e has darts 2e and 2e+1; dart 2e leaves edges[e][0], dart
-2e+1 leaves edges[e][1].  Faces are traced with
-face_next(d) = rotation-successor of the reversed dart at its tail, and the
-constructor rejects any rotation system whose face count violates Euler's
-formula (genus > 0), so planarity is guaranteed by construction everywhere
-in this module and never tested generically.
+2e+1 leaves edges[e][1].  A face walk steps from dart d to the
+rotation-successor of d ^ 1 at its tail, and the constructor rejects any
+rotation system whose face count violates Euler's formula (genus > 0), so
+planarity is guaranteed by construction everywhere in this module and never
+tested generically.  The edge list is the only copy of an embedding's edges,
+parallel edges included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import (
     DompackError,
@@ -26,7 +26,7 @@ from .errors import (
     GraphError,
     PreconditionError,
 )
-from .graph import Graph, Multigraph, VertexSet, _mask_bits
+from .graph import Graph, VertexSet, _mask_bits
 
 
 class TriangulationBlocked(DompackError, RuntimeError):
@@ -86,22 +86,12 @@ class PlanarEmbedding:
 
     # -- dart helpers --------------------------------------------------------
 
-    def tail(self, d: int) -> int:
-        return self.edges[d >> 1][d & 1]
-
     def head(self, d: int) -> int:
         return self.edges[d >> 1][1 - (d & 1)]
 
     def degree(self, v: int) -> int:
         """Incident edge-ends, so parallel edges count with multiplicity."""
         return len(self.rotation[v])
-
-    def next_dart(self, d: int) -> int:
-        darts = self.rotation[self.tail(d)]
-        return darts[(self._pos[d] + 1) % len(darts)]
-
-    def face_next(self, d: int) -> int:
-        return self.next_dart(d ^ 1)
 
     def _trace_faces(self) -> tuple[tuple[int, ...], ...]:
         """Faces in order of their least dart, each walked from that dart."""
@@ -116,7 +106,7 @@ class PlanarEmbedding:
             while True:
                 walk.append(d)
                 consumed[d] = True
-                # d = face_next(d): the successor of d ^ 1 at its tail.
+                # The next dart is the successor of d ^ 1 at its tail.
                 d ^= 1
                 darts = rotation[edges[d >> 1][d & 1]]
                 d = darts[(pos[d] + 1) % len(darts)]
@@ -147,17 +137,11 @@ class PlanarEmbedding:
 
     # -- views ---------------------------------------------------------------
 
-    def face_vertices(self, face: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([self.tail(d) for d in face])
-
     def face_sizes(self) -> list[int]:
         return sorted(len(f) for f in self.faces)
 
     def is_triangulated(self) -> bool:
         return all(len(f) == 3 for f in self.faces)
-
-    def multigraph(self) -> Multigraph:
-        return Multigraph(self.n, self.edges)
 
     def is_simple(self) -> bool:
         norm = {(min(u, v), max(u, v)) for u, v in self.edges}
@@ -165,89 +149,54 @@ class PlanarEmbedding:
 
     def graph(self) -> Graph:
         if not self.is_simple():
-            raise GraphError("embedding has parallel edges; use multigraph()")
+            raise GraphError("embedding has parallel edges; read them from edges")
         return Graph(self.n, list(self.edges))
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
+        if not self.is_simple():
+            raise EmbeddingError("neighbor rotation lists cannot name parallel edges")
         rotation = [[self.head(d) for d in darts] for darts in self.rotation]
         return json.dumps({"n": self.n, "rotation": rotation})
 
     @classmethod
     def from_json(cls, text: str) -> PlanarEmbedding:
-        """Rebuild an embedding from neighbor rotation lists.
+        """Rebuild a simple embedding from neighbor rotation lists.
 
-        Parallel edge-ends carry no explicit pairing in this format, so the
-        i-th occurrence convention is tried first and other pairings are
-        searched when it fails the planarity check.
+        Edge e is the e-th vertex pair in sorted order.  Every pair needs
+        exactly two edge-ends, one in each endpoint's list; a pair listed more
+        often would be a parallel edge, which this format cannot pair up.
+        Malformed input of any kind raises EmbeddingError; the constructor
+        rejects out-of-range neighbors and self-loops.
         """
-        obj = json.loads(text)
-        n = obj["n"]
-        neighbor_rotation = obj["rotation"]
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise EmbeddingError(f"embedding is not JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise EmbeddingError("embedding JSON must be an object")
+        n, neighbor_rotation = obj.get("n"), obj.get("rotation")
+        if type(n) is not int or n < 1 or not isinstance(neighbor_rotation, list):
+            raise EmbeddingError('embedding needs an integer "n" >= 1 and a "rotation" list')
         if len(neighbor_rotation) != n:
             raise EmbeddingError("rotation must list every vertex")
-        counts: dict[tuple[int, int], int] = {}
+        ends: Counter[tuple[int, int]] = Counter()
         for u, nbrs in enumerate(neighbor_rotation):
+            if not isinstance(nbrs, list) or not all(type(v) is int for v in nbrs):
+                raise EmbeddingError(f"rotation of vertex {u} is not a list of integers")
             for v in nbrs:
-                if not 0 <= v < n:
-                    raise EmbeddingError(f"neighbor {v} outside 0..{n - 1}")
-                if v == u:
-                    raise EmbeddingError("self-loops are not allowed")
-                counts[(min(u, v), max(u, v))] = counts.get((min(u, v), max(u, v)), 0) + 1
-        for (u, v), c in counts.items():
-            if c % 2:
-                raise EmbeddingError(f"odd number of edge-ends between {u} and {v}")
-        mult = {key: c // 2 for key, c in counts.items()}
-
-        # Edge ids per pair: pair key gets a contiguous block of ids.
-        base: dict[tuple[int, int], int] = {}
-        nxt = 0
-        for key in sorted(mult):
-            base[key] = nxt
-            nxt += mult[key]
-
-        def build(assignment: dict[tuple[int, int], tuple[int, ...]]) -> PlanarEmbedding:
-            edges: list[tuple[int, int]] = [(-1, -1)] * nxt
-            rotation: list[list[int]] = [[] for _ in range(n)]
-            seen: dict[tuple[int, int], int] = {}
-            for u in range(n):
-                for v in neighbor_rotation[u]:
-                    key = (min(u, v), max(u, v))
-                    occ = seen.get((u, v), 0)
-                    seen[(u, v)] = occ + 1
-                    sigma = assignment.get(key)
-                    if u == key[0]:
-                        e = base[key] + occ
-                        side = 0
-                    else:
-                        # The upper endpoint's occ-th end joins the lower
-                        # endpoint's sigma^-1(occ)-th edge.
-                        i = sigma.index(occ) if sigma else occ
-                        e = base[key] + i
-                        side = 1
-                    edges[e] = (key[0], key[1])
-                    rotation[u].append(2 * e + side)
-            return cls(n, edges, rotation)
-
-        multi = sorted(key for key, k in mult.items() if k > 1)
-        if not multi:
-            return build({})
-        plans = [list(permutations(range(mult[key]))) for key in multi]
-        total = 1
-        for p in plans:
-            total *= len(p)
-        if total > 10_000:
-            raise EmbeddingError("too many parallel-edge pairings to resolve")
-        from itertools import product
-
-        last_err: Exception | None = None
-        for combo in product(*plans):
-            try:
-                return build(dict(zip(multi, combo)))
-            except EmbeddingError as exc:
-                last_err = exc
-        raise EmbeddingError(f"no planar pairing of parallel edge-ends: {last_err}")
+                ends[min(u, v), max(u, v)] += 1
+        for (u, v), c in ends.items():
+            if c != 2:
+                raise EmbeddingError(f"{c} edge-ends between {u} and {v}, expected 2")
+        edges = sorted(ends)
+        index = {pair: e for e, pair in enumerate(edges)}
+        rotation = [
+            [2 * index[min(u, v), max(u, v)] + (u > v) for v in nbrs]
+            for u, nbrs in enumerate(neighbor_rotation)
+        ]
+        return cls(n, edges, rotation)
 
 
 _ICOSAHEDRON_ROTATION = [
@@ -356,15 +305,21 @@ def embed_maximal_planar(seed: int, n: int) -> PlanarEmbedding:
     return _embed_maximal_planar(random.Random(seed), n).finish()
 
 
-def random_planar(seed: int, n: int, m: int) -> Graph:
-    """Planar-by-construction graph: maximal planar, then uniform edge
-    deletions down to m edges."""
+def _seeded_maximal_planar(seed: int, n: int, m: int) -> tuple[random.Random, _MutableEmbedding]:
+    """The generator for `seed` and the maximal planar graph it grows first,
+    after checking that m edges can be kept from it."""
     if n < 3:
-        raise GraphError("random_planar needs n >= 3")
+        raise GraphError("random planar graphs need n >= 3")
     if not 0 <= m <= 3 * n - 6:
         raise GraphError(f"edge count {m} outside 0..{3 * n - 6}")
     rng = random.Random(seed)
-    work = _embed_maximal_planar(rng, n)
+    return rng, _embed_maximal_planar(rng, n)
+
+
+def random_planar(seed: int, n: int, m: int) -> Graph:
+    """Planar-by-construction graph: maximal planar, then uniform edge
+    deletions down to m edges."""
+    rng, work = _seeded_maximal_planar(seed, n, m)
     full = sorted((min(u, v), max(u, v)) for u, v in work.edges)
     keep = rng.sample(full, m) if m < len(full) else full
     return Graph(n, keep)
@@ -372,12 +327,7 @@ def random_planar(seed: int, n: int, m: int) -> Graph:
 
 def random_planar_embedding(seed: int, n: int, m: int) -> PlanarEmbedding:
     """Like random_planar but keeps the (restricted) rotation system."""
-    if n < 3:
-        raise GraphError("random_planar_embedding needs n >= 3")
-    if not 0 <= m <= 3 * n - 6:
-        raise GraphError(f"edge count {m} outside 0..{3 * n - 6}")
-    rng = random.Random(seed)
-    work = _embed_maximal_planar(rng, n)
+    rng, work = _seeded_maximal_planar(seed, n, m)
     total = len(work.edges)
     keep_idx = sorted(rng.sample(range(total), m)) if m < total else list(range(total))
     keep_set = set(keep_idx)
@@ -576,9 +526,11 @@ def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: in
         face_of[d] = face_of[d1] = gi
 
 
-def random_min_degree4_planar(
-    seed: int, n: int, *, min_core: int = 6, budget: int = 300
-) -> Graph:
+_MIN_CORE = 6  # a stripped maximal planar core this large has minimum degree >= 4
+_MIN_DEGREE4_ATTEMPTS = 300
+
+
+def random_min_degree4_planar(seed: int, n: int) -> Graph:
     """Simple planar graph with minimum degree >= 4.
 
     Pure rejection on insertion-built triangulations never succeeds (they
@@ -598,7 +550,7 @@ def random_min_degree4_planar(
         raise GraphError("min-degree-4 planar graphs need n >= 6")
     from .generators import derive_seed
 
-    for attempt in range(budget):
+    for attempt in range(_MIN_DEGREE4_ATTEMPTS):
         rng = random.Random(derive_seed(seed, attempt))
         work = _embed_maximal_planar(rng, n)
         _flip_random_edges(work, rng, 6 * len(work.edges))
@@ -617,10 +569,10 @@ def random_min_degree4_planar(
             if low is None:
                 break
             active &= ~(1 << low)
-        if active.bit_count() >= min_core:
+        if active.bit_count() >= _MIN_CORE:
             core, _ = g.induced_subgraph(VertexSet.from_mask(g.n, active))
             if core.min_degree() >= 4:
                 return core
     raise GenerationBudgetError(
-        f"no min-degree-4 core of size >= {min_core} in {budget} attempts"
+        f"no min-degree-4 core of size >= {_MIN_CORE} in {_MIN_DEGREE4_ATTEMPTS} attempts"
     )

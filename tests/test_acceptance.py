@@ -262,10 +262,9 @@ def test_criterion_6_discharging_and_triangulation():
             ind = greedy_maximal_independent_set(g)
             tri = triangulate_preserving_independent(emb, ind)
             assert tri.is_triangulated()
-            mg = tri.multigraph()
-            assert not any(u in ind and v in ind for u, v in mg.edges)
-            assert all(mg.degree(v) >= g.degree(v) for v in range(g.n))
-            low = VertexSet(mg.n, [v for v in ind if tri.degree(v) <= 7])
+            assert not any(u in ind and v in ind for u, v in tri.edges)
+            assert all(tri.degree(v) >= g.degree(v) for v in range(g.n))
+            low = VertexSet(tri.n, [v for v in ind if tri.degree(v) <= 7])
             ledger = charge_audit(tri, low)
             assert ledger.total == Fraction(-12)
             audits += 1

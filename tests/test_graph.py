@@ -6,7 +6,6 @@ import pytest
 from dompack import (
     Graph,
     GraphError,
-    Multigraph,
     VertexRangeError,
     VertexSet,
     gen_named,
@@ -147,17 +146,6 @@ def test_vertex_set_operations():
         VertexSet(4, [4])
     with pytest.raises(AttributeError):
         a.mask = 0
-
-
-def test_multigraph_basics():
-    mg = Multigraph(3, [(0, 1), (1, 0), (1, 2)])
-    assert mg.m == 3
-    assert mg.degree(1) == 3
-    assert mg.multiplicity(0, 1) == 2
-    assert not mg.is_simple
-    assert mg.as_simple().m == 2
-    with pytest.raises(GraphError):
-        Multigraph(3, [(1, 1)])
 
 
 def test_components():

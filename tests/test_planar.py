@@ -87,16 +87,18 @@ def test_triangulate_c4_parallel_edges():
     # Two opposite independent vertices force a doubled edge between the
     # other two: the classic non-simple triangulation.
     tri = triangulate_preserving_independent(c4_embedding(), VertexSet(4, [0, 2]))
-    mg = tri.multigraph()
     assert tri.is_triangulated()
-    assert mg.multiplicity(1, 3) == 2
-    assert not mg.is_simple
+    assert sorted(tri.edges).count((1, 3)) == 2
+    assert not tri.is_simple()
+    assert [tri.degree(v) for v in range(4)] == [2, 4, 2, 4]
+    with pytest.raises(GraphError):
+        tri.graph()
 
 
 def test_triangulate_triangle_unchanged():
     emb = embed_maximal_planar(1, 3)
     tri = triangulate_preserving_independent(emb, VertexSet(3, []))
-    assert tri.multigraph().edges == emb.multigraph().edges
+    assert tri.edges == emb.edges
 
 
 def test_triangulate_c5():
@@ -124,9 +126,8 @@ def test_triangulate_preserves_independence_and_degrees():
         ind = greedy_maximal_independent_set(g)
         tri = triangulate_preserving_independent(emb, ind)
         assert tri.is_triangulated()
-        mg = tri.multigraph()
-        assert not any(u in ind and v in ind for u, v in mg.edges)
-        assert all(mg.degree(v) >= g.degree(v) for v in range(n))
+        assert not any(u in ind and v in ind for u, v in tri.edges)
+        assert all(tri.degree(v) >= g.degree(v) for v in range(n))
         done += 1
 
 
@@ -237,19 +238,61 @@ def test_min_degree4_generator():
 
 
 def test_embedding_json_round_trip_simple():
+    # The digest of edges, rotation and faces after each round trip was taken
+    # with the version that searched pairings of parallel edge-ends.
+    digest = hashlib.sha256()
+    corpus = []
     for seed in range(30):
         n = 5 + seed % 12
-        emb = random_planar_embedding(derive_seed(1502, seed), n, n + seed % 6)
+        corpus.append(random_planar_embedding(derive_seed(1502, seed), n, n + seed % 6))
+    corpus.append(icosahedron_embedding())
+    for emb in corpus:
         back = PlanarEmbedding.from_json(emb.to_json())
         assert back.to_json() == emb.to_json()
         assert back.face_sizes() == emb.face_sizes()
+        digest.update(repr((back.edges, back.rotation, back.faces)).encode())
+    assert digest.hexdigest() == (
+        "51d612a36ee7b8794a6bd688dcb558060a55c5c605bb4f0043395b115e185b35"
+    )
 
 
-def test_embedding_json_round_trip_multigraph():
+def test_embedding_json_refuses_parallel_edges():
     tri = triangulate_preserving_independent(c4_embedding(), VertexSet(4, [0, 2]))
-    back = PlanarEmbedding.from_json(tri.to_json())
-    assert back.is_triangulated()
-    assert back.multigraph().edges == tri.multigraph().edges
+    with pytest.raises(EmbeddingError):
+        tri.to_json()
+    # The C4 triangulation's neighbor lists: vertices 1 and 3 list each
+    # other twice.
+    doubled = {"n": 4, "rotation": [[1, 3], [2, 3, 0, 3], [3, 1], [0, 1, 2, 1]]}
+    with pytest.raises(EmbeddingError):
+        PlanarEmbedding.from_json(json.dumps(doubled))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[1, 2]",
+        '{"n": 2}',
+        '{"rotation": [[1], [0]]}',
+        '{"n": 0, "rotation": []}',
+        '{"n": -1, "rotation": []}',
+        '{"n": true, "rotation": [[]]}',
+        '{"n": 2.0, "rotation": [[1], [0]]}',
+        '{"n": 2, "rotation": {"0": [1]}}',
+        '{"n": 2, "rotation": [[1], "0"]}',
+        '{"n": 2, "rotation": [["1"], [0]]}',
+        '{"n": 2, "rotation": [[1.0], [0]]}',
+        '{"n": 2, "rotation": [[1]]}',
+        '{"n": 2, "rotation": [[1], [0], []]}',
+        '{"n": 2, "rotation": [[2], [0]]}',
+        '{"n": 2, "rotation": [[0], []]}',
+        '{"n": 2, "rotation": [[1], []]}',
+        '{"n": 2, "rotation": [[1, 1], []]}',
+    ],
+)
+def test_embedding_from_json_rejects_malformed(text):
+    with pytest.raises(EmbeddingError):
+        PlanarEmbedding.from_json(text)
 
 
 def test_embedding_validation_rejects_nonplanar():
