@@ -5,7 +5,8 @@ record; each subcommand adds only its own fields.  Every record, failed ones
 included, carries its graph's graph6, n and m, its GenSpec when `verify`
 generated the graph (so it replays bit-exactly), and its wall_time.  A
 record that holds gamma and rho solved each of them once (once more per X
-set).  Records stream as JSON lines, an aligned table, or CSV; any bound
+set).  `_Output` writes each record as soon as it is made, as a JSON line, an
+aligned table row or a CSV row, and ends with a summary; any bound
 violation, invalid certificate, or lemma falsification makes the exit status
 nonzero.
 """
@@ -108,47 +109,74 @@ def _record(g: Graph | None, t0: float, **fields) -> dict:
     return rec
 
 
-def _failures(records: list[dict]) -> int:
-    return sum(not rec["passed"] for rec in records)
+class _Output:
+    """Writes each record in --format as soon as it is made, then a summary.
 
+    Counts the records and the failed ones (`passed` false) as it goes, so no
+    command keeps its records.  The table or CSV header goes out with the
+    first line; when an error stops a run, the records made so far stay
+    written.
+    """
 
-def _emit(records: list[dict], summary: dict, args) -> None:
-    fmt = args.format
-    lines: list[str] = []
-    if fmt == "json":
-        for rec in records:
-            lines.append(json.dumps(rec, sort_keys=True))
-        lines.append(json.dumps({"summary": summary}, sort_keys=True))
-    elif fmt == "csv":
-        import csv as _csv
-        import io
+    CSV_COLUMNS = ["graph6", "n", "m", "gamma", "rho", "gamma_f", "ratio", "passed", "wall_time"]
 
-        cols = ["graph6", "n", "m", "gamma", "rho", "gamma_f", "ratio", "passed", "wall_time"]
-        buf = io.StringIO()
-        writer = _csv.writer(buf)
-        writer.writerow(cols)
-        for rec in records:
-            writer.writerow([rec.get(c, "") for c in cols])
-        lines = buf.getvalue().splitlines()
-        lines.append("# " + json.dumps({"summary": summary}, sort_keys=True))
-    else:
-        header = f"{'graph6':<24} {'n':>3} {'m':>4} {'gamma':>5} {'rho':>4} {'gamma_f':>8} {'ratio':>6} {'pass':>5}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for d in records:
-            lines.append(
-                f"{d.get('graph6', '')[:24]:<24} {d.get('n', ''):>3} {d.get('m', ''):>4} "
-                f"{str(d.get('gamma', '')):>5} {str(d.get('rho', '')):>4} "
-                f"{str(d.get('gamma_f', '')):>8} {str(d.get('ratio', '')):>6} "
-                f"{str(d.get('passed', '')):>5}"
+    def __init__(self, args):
+        self.records = self.failures = 0
+        self._fmt = args.format
+        self._stream = args.stream
+        self._name = args.out or "stdout"
+        self._header = ""
+        if self._fmt == "csv":
+            import csv
+            import io
+
+            self._buf = io.StringIO()
+            self._csv = csv.writer(self._buf)
+            self._header = self._csv_row(self.CSV_COLUMNS) + "\n"
+        elif self._fmt == "table":
+            header = (
+                f"{'graph6':<24} {'n':>3} {'m':>4} {'gamma':>5} {'rho':>4} "
+                f"{'gamma_f':>8} {'ratio':>6} {'pass':>5}"
             )
-        lines.append("summary: " + json.dumps(summary, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    try:
-        args.stream.write(text)
-        args.stream.flush()
-    except OSError as exc:
-        raise DompackError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from None
+            self._header = header + "\n" + "-" * len(header) + "\n"
+
+    def _csv_row(self, row: list) -> str:
+        self._buf.seek(0)
+        self._buf.truncate()
+        self._csv.writerow(row)
+        return "\n".join(self._buf.getvalue().splitlines())
+
+    def _write(self, text: str, flush: bool = False) -> None:
+        try:
+            self._stream.write(self._header + text + "\n")
+            if flush:
+                self._stream.flush()
+        except OSError as exc:
+            raise DompackError(f"cannot write {self._name}: {exc.strerror}") from None
+        self._header = ""
+
+    def record(self, rec: dict) -> None:
+        self.records += 1
+        self.failures += not rec["passed"]
+        if self._fmt == "json":
+            self._write(json.dumps(rec, sort_keys=True))
+        elif self._fmt == "csv":
+            self._write(self._csv_row([rec.get(c, "") for c in self.CSV_COLUMNS]))
+        else:
+            self._write(
+                f"{rec.get('graph6', '')[:24]:<24} {rec.get('n', ''):>3} {rec.get('m', ''):>4} "
+                f"{str(rec.get('gamma', '')):>5} {str(rec.get('rho', '')):>4} "
+                f"{str(rec.get('gamma_f', '')):>8} {str(rec.get('ratio', '')):>6} "
+                f"{str(rec.get('passed', '')):>5}"
+            )
+
+    def summary(self, summary: dict) -> None:
+        text = json.dumps({"summary": summary}, sort_keys=True)
+        if self._fmt == "csv":
+            text = "# " + text
+        elif self._fmt == "table":
+            text = "summary: " + json.dumps(summary, sort_keys=True)
+        self._write(text, flush=True)
 
 
 def _open_out(path: str | None):
@@ -208,7 +236,7 @@ def _max_n(n: int | None, default: int, least: int) -> int:
 
 
 def cmd_compute(args) -> int:
-    records = []
+    out = _Output(args)
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()
         gamma = exact_domination(g)
@@ -224,7 +252,7 @@ def cmd_compute(args) -> int:
                 rho_x=exact_packing(g, x).value,
                 x_set=sorted(x),
             )
-        records.append(_record(
+        out.record(_record(
             g, t0,
             gamma=gamma.value,
             rho=rho.value,
@@ -233,9 +261,8 @@ def cmd_compute(args) -> int:
             rho_witness=sorted(rho.witness),
             **fields,
         ))
-    violations = _failures(records)
-    _emit(records, {"instances": len(records), "violations": violations}, args)
-    return 1 if violations else 0
+    out.summary({"instances": out.records, "violations": out.failures})
+    return 1 if out.failures else 0
 
 
 # -- verify --------------------------------------------------------------------
@@ -316,29 +343,34 @@ def cmd_verify(args) -> int:
         )
         for i in range(args.count)
     ]
-    if args.jobs > 1:
-        # Imported here: multiprocessing adds ~1.4 MB of RSS to every other command.
-        from concurrent.futures import ProcessPoolExecutor
+    out = _Output(args)
+    max_ratio = Fraction(0)
+    generated = attempts = 0  # chordal-bipartite graphs and generator attempts
+    with contextlib.ExitStack() as stack:
+        solve = map
+        if args.jobs > 1:
+            # Imported here: multiprocessing adds ~1.4 MB of RSS to every other command.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_verify_one, payloads))
-    else:
-        records = [_verify_one(p) for p in payloads]
+            solve = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        for rec in solve(_verify_one, payloads):
+            out.record(rec)
+            max_ratio = max(max_ratio, Fraction(rec["ratio"]))
+            if "gen_attempts" in rec:
+                generated += 1
+                attempts += rec["gen_attempts"]
 
-    violations = _failures(records)
-    max_ratio = max((Fraction(rec["ratio"]) for rec in records), default=Fraction(0))
     summary = {
         "class": cls,
         "bound": str(bound),
-        "instances": len(records),
-        "violations": violations,
+        "instances": out.records,
+        "violations": out.failures,
         "max_ratio": str(max_ratio),
     }
-    attempts = [rec["gen_attempts"] for rec in records if "gen_attempts" in rec]
-    if attempts:
-        summary["generator_acceptance"] = round(len(attempts) / sum(attempts), 4)
-    _emit(records, summary, args)
-    return 1 if violations else 0
+    if generated:
+        summary["generator_acceptance"] = round(generated / attempts, 4)
+    out.summary(summary)
+    return 1 if out.failures else 0
 
 
 # -- construct -----------------------------------------------------------------
@@ -346,7 +378,7 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     cls = args.cls
-    records = []
+    out = _Output(args)
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()
         try:
@@ -370,11 +402,11 @@ def cmd_construct(args) -> int:
             else:
                 raise DompackError(f"no constructive algorithm for class {cls!r}")
         except DompackError as exc:
-            records.append(_record(g, t0, passed=False, error=str(exc)))
+            out.record(_record(g, t0, passed=False, error=str(exc)))
             continue
         # |P| <= rho <= gamma <= |D|, so a valid certificate with |D| = |P| settles both.
         settled = cert.valid and len(cert.d) == len(cert.p)
-        records.append(_record(
+        out.record(_record(
             g, t0,
             certificate=json.loads(cert.to_json()),
             gamma=len(cert.d) if settled else exact_domination(g).value,
@@ -382,9 +414,8 @@ def cmd_construct(args) -> int:
             bound=cert.bound_constant,
             passed=cert.valid and len(cert.d) <= cert.bound_constant * len(cert.p),
         ))
-    failures = _failures(records)
-    _emit(records, {"class": cls, "instances": len(records), "failures": failures}, args)
-    return 1 if failures else 0
+    out.summary({"class": cls, "instances": out.records, "failures": out.failures})
+    return 1 if out.failures else 0
 
 
 # -- search --------------------------------------------------------------------
@@ -448,8 +479,9 @@ def cmd_search(args) -> int:
 
     found = best["ratio"] >= target
     # n is the requested size, also when no iteration ran and best_graph is None.
-    rec = _record(best_graph, t0, n=args.n, **best, target=str(target), found=found)
-    _emit([rec], {"target": str(target), "found": found, "best_ratio": str(best["ratio"])}, args)
+    out = _Output(args)
+    out.record(_record(best_graph, t0, n=args.n, **best, target=str(target), found=found))
+    out.summary({"target": str(target), "found": found, "best_ratio": str(best["ratio"])})
     return 0  # best-effort by design
 
 
@@ -470,7 +502,7 @@ def _connected_min_degree2_embedding(seed: int, n_max: int):
 
 
 def cmd_lemmacheck(args) -> int:
-    records = []
+    out = _Output(args)
     n_max = _max_n(args.n, 40, 4)  # triangulate and charge-audit draw n from 4..n_max
     for i in range(args.count):
         sub = derive_seed(args.seed, 7_000_000 + i)
@@ -504,11 +536,9 @@ def cmd_lemmacheck(args) -> int:
                 raise DompackError(f"unknown lemma {args.lemma!r}")
         except DompackError as exc:
             ok, fields = False, {"error": str(exc)}
-        records.append(_record(g, t0, passed=ok, **fields))
-    failures = _failures(records)
-    summary = {"lemma": args.lemma, "instances": len(records), "failures": failures}
-    _emit(records, summary, args)
-    return 1 if failures else 0
+        out.record(_record(g, t0, passed=ok, **fields))
+    out.summary({"lemma": args.lemma, "instances": out.records, "failures": out.failures})
+    return 1 if out.failures else 0
 
 
 # -- entry ---------------------------------------------------------------------

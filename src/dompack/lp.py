@@ -5,11 +5,24 @@ The two LPs are duals: minimize 1.x over N x >= 1 (domination) and maximize
 simplex on the packing form, whose all-slack basis is feasible, and read the
 domination solution off the optimal reduced costs of the slack columns.
 
-The tableau stores integer numerators over one common denominator (Bareiss
-integer pivoting), so every intermediate quantity is an exact rational; no
-floating point is used anywhere in this module.  Dantzig's rule drives the
-pivots and Bland's rule takes over whenever the objective stalls, which rules
-out cycling.
+The tableau stores integer numerators (Bareiss integer pivoting, Math. Comp.
+22, 1968): after k pivots the exact tableau is T_k / D_k, with every entry of
+T_k an integer and D_k > 0 the last pivot.  A pivot maps each row i to
+(T_k[i]·p - T_k[i][col]·T_k[r]) / D_k, so a row whose pivot-column entry is 0
+is only rescaled by D_{k+1} / D_k.  Such rows are left alone: row i keeps
+`scale[i]`, the denominator D_j it was last written at, so its current entries
+are R·D_k / D_j for the stored R.  The pivot row, and each basic right-hand
+side at read-out, is brought to D_k with one `x·D_k // scale`; a row the pivot
+updates goes straight to (R·p - R[col]·T_k[r]) / scale, which is the Bareiss
+step applied to the rescaled row.  Both divisions are exact because their
+results are Bareiss entries, which are integers.  The ratio test compares
+rhs/a within one row, where the scale cancels, and row 0 takes part in every
+pivot, so the pivots are those of the fully rescaled tableau.
+
+Dantzig's rule drives the pivots and Bland's rule takes over whenever the
+objective stalls, which rules out cycling.  The optimal pair is checked as
+integer numerators over the common denominator before it becomes `Fraction`s;
+no floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -42,42 +55,39 @@ _PIVOT_LIMIT = 100_000
 def _simplex_packing(closed: tuple[int, ...], n: int):
     """Max 1.y s.t. N y <= 1, y >= 0, via integer pivoting.
 
-    Returns (value, y, x) as Fractions.
+    Returns (denom, value, y, x): integer numerators over one denominator
+    denom > 0.  Row i of the tableau holds its entries over `scale[i]`, the
+    denominator at the last pivot that touched it; the current row is
+    `tableau[i][j] * denom // scale[i]`, which divides exactly.
     """
     width = 2 * n + 1
     rhs = 2 * n
     # Row 0: reduced costs (start at -1 for each y column); rows 1..n: N y + s = 1.
     tableau = [[-1] * n + [0] * n + [0]]
     for i in range(n):
-        row = [(closed[i] >> j) & 1 for j in range(n)]
-        row += [1 if k == i else 0 for k in range(n)]
-        row.append(1)
+        row = [(closed[i] >> j) & 1 for j in range(n)] + [0] * n + [1]
+        row[n + i] = 1
         tableau.append(row)
     denom = 1
+    scale = [1] * (n + 1)
     basis = [n + i for i in range(n)]
 
     bland = False
     stall = 0
     last_obj = (0, 1)
     for _ in range(_PIVOT_LIMIT):
-        obj_row = tableau[0]
-        col = -1
+        obj_row = tableau[0]  # every pivot touches row 0, so it is current
         if bland:
-            for j in range(width - 1):
-                if obj_row[j] < 0:
-                    col = j
-                    break
+            col = next((j for j in range(width - 1) if obj_row[j] < 0), -1)
         else:
-            best = 0
-            for j in range(width - 1):
-                if obj_row[j] < best:
-                    best = obj_row[j]
-                    col = j
+            best = min(obj_row[:rhs])
+            col = obj_row.index(best) if best < 0 else -1
         if col < 0:
             break  # optimal
 
         # Ratio test: min rhs/col over positive col entries; ties by lowest
-        # leaving basis variable (Bland-compatible).
+        # leaving basis variable (Bland-compatible).  A row's scale cancels
+        # in rhs/col and is positive, so stale rows compare as current ones.
         row = -1
         best_num = best_den = 0
         for i in range(1, n + 1):
@@ -91,20 +101,22 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
         if row < 0:
             raise LpError("unbounded packing LP; the input matrix is malformed")
 
-        pivot = tableau[row][col]
         prow = tableau[row]
+        if scale[row] != denom:
+            s = scale[row]
+            prow = tableau[row] = [v * denom // s for v in prow]
+        pivot = prow[col]
         for i in range(n + 1):
-            if i == row:
-                continue
             trow = tableau[i]
             factor = trow[col]
-            if factor:
-                tableau[i] = [
-                    (trow[j] * pivot - factor * prow[j]) // denom for j in range(width)
-                ]
-            else:
-                tableau[i] = [(trow[j] * pivot) // denom for j in range(width)]
+            if factor and i != row:
+                # The Bareiss step on the row as stored: dividing by its own
+                # scale s gives the same integers as first rescaling to denom.
+                s = scale[i]
+                tableau[i] = [(v * pivot - factor * w) // s for v, w in zip(trow, prow)]
+                scale[i] = pivot
         denom = pivot
+        scale[row] = pivot
         basis[row - 1] = col
 
         obj = (tableau[0][rhs], denom)
@@ -118,13 +130,11 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
     else:
         raise LpError("simplex exceeded the pivot limit")
 
-    value = Fraction(tableau[0][rhs], denom)
-    y = [Fraction(0)] * n
+    y = [0] * n
     for i in range(n):
         if basis[i] < n:
-            y[basis[i]] = Fraction(tableau[i + 1][rhs], denom)
-    x = [Fraction(tableau[0][n + j], denom) for j in range(n)]
-    return value, tuple(y), tuple(x)
+            y[basis[i]] = tableau[i + 1][rhs] * denom // scale[i + 1]
+    return denom, tableau[0][rhs], y, tableau[0][n:rhs]
 
 
 def fractional_domination(g: Graph) -> LpSolution:
@@ -134,21 +144,31 @@ def fractional_domination(g: Graph) -> LpSolution:
     """
     n = g.n
     closed = g.closed_masks
-    value, y, x = _simplex_packing(closed, n)
+    denom, value, y, x = _simplex_packing(closed, n)
 
-    # Certificate checks; violations mean a solver bug, not a bad input.
+    # Certificate checks on the numerators over denom; violations mean a
+    # solver bug, not a bad input.
+    if denom <= 0:
+        raise LpError("non-positive common denominator")
     if sum(x) != value or sum(y) != value:
         raise LpError("primal/dual objective mismatch")
     for v in range(n):
-        row_x = sum(x[u] for u in range(n) if (closed[v] >> u) & 1)
-        row_y = sum(y[u] for u in range(n) if (closed[v] >> u) & 1)
-        if row_x < 1:
+        ball = [u for u in range(n) if (closed[v] >> u) & 1]
+        if sum([x[u] for u in ball]) < denom:
             raise LpError(f"fractional domination constraint violated at vertex {v}")
-        if row_y > 1:
+        if sum([y[u] for u in ball]) > denom:
             raise LpError(f"fractional packing constraint violated at vertex {v}")
-    if any(c < 0 for c in x) or any(c < 0 for c in y):
+    if min(x) < 0 or min(y) < 0:
         raise LpError("negative coordinate in LP solution")
-    return LpSolution(value, x, y)
+    fracs = {}  # one Fraction per distinct numerator; most are 0
+
+    def frac(c: int) -> Fraction:
+        f = fracs.get(c)
+        if f is None:
+            f = fracs[c] = Fraction(c, denom)
+        return f
+
+    return LpSolution(frac(value), tuple(map(frac, x)), tuple(map(frac, y)))
 
 
 @dataclass(frozen=True)
@@ -173,8 +193,9 @@ def verify_sandwich(
     sol = fractional_domination(g)
     return SandwichReport(
         rho=exact_packing(g).value if rho is None else rho,
-        rho_f=sum(sol.dual, Fraction(0)),
-        gamma_f=sum(sol.primal, Fraction(0)),
+        # fractional_domination checked sum(y) == sum(x) == value.
+        rho_f=sol.value,
+        gamma_f=sol.value,
         gamma=exact_domination(g).value if gamma is None else gamma,
     )
 

@@ -59,6 +59,24 @@ def test_compute_x_out_of_range(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt, lines", [("json", 1), ("csv", 2), ("table", 3)])
+def test_usage_error_keeps_the_records_already_written(capsys, tmp_path, fmt, lines):
+    # Records stream out as they are made: vertex 3 exists in C4 but not in
+    # K1, so the C4 record (after any header) stays written and no summary
+    # follows.
+    path = tmp_path / "in.txt"
+    path.write_text(emit_graph6(gen_named("C4")) + "\n" + emit_graph6(gen_named("K1")) + "\n")
+    code = main(["compute", str(path), "--x-set", "3", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    out = captured.out.splitlines()
+    assert len(out) == lines and "summary" not in captured.out
+    if fmt == "json":
+        rec = json.loads(out[0])
+        assert rec["graph6"] == emit_graph6(gen_named("C4")) and rec["x_set"] == [3]
+
+
 def test_compute_parse_failure(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C\n")

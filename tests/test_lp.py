@@ -1,4 +1,8 @@
+import ast
 from fractions import Fraction
+
+import lp_reference
+import pytest
 
 from dompack import (
     exact_domination,
@@ -9,7 +13,9 @@ from dompack import (
     harmonic,
     verify_sandwich,
 )
-from dompack.generators import GenSpec, derive_seed, gen_gnp, gen_tree
+from dompack import lp
+from dompack.generators import GenSpec, all_graphs, all_trees, derive_seed, gen_gnp, gen_tree
+from dompack.lp import LpError
 
 
 def feasible(g, sol):
@@ -117,6 +123,74 @@ def test_against_independent_float_solver():
         assert res.status == 0
         exact = fractional_domination(g).value
         assert abs(res.fun - float(exact)) < 1e-7
+
+
+def test_equals_fully_rescaled_reference():
+    # The lazily rescaled tableau must take the reference's pivots, so the
+    # whole solution, not only the value, is the same.
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += [t for n in range(1, 13) for t in all_trees(n)]
+    graphs += [
+        gen_gnp(GenSpec("gnp", 10 + i % 31, derive_seed(1205, i), {"edge_prob": p}))
+        for i, p in enumerate([0.15, 0.3, 0.5] * 34)
+    ]
+    for g in graphs:
+        sol = fractional_domination(g)
+        assert (sol.value, sol.primal, sol.dual) == lp_reference.fractional_domination(g)
+
+
+def test_bland_rule_path(monkeypatch):
+    # With a stall limit of 1, the first degenerate pivot hands over to
+    # Bland's rule, which then picks every later entering column.
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 1)
+    graphs = [gen_named(f"K{n}") for n in range(1, 9)]
+    graphs += [gen_named(f"C{n}") for n in range(3, 13)]
+    graphs += [gen_rook(k, l) for k in range(2, 5) for l in range(k, 6)]
+    graphs += [
+        gen_gnp(GenSpec("gnp", 6 + i % 20, derive_seed(1204, i), {"edge_prob": 0.4}))
+        for i in range(30)
+    ]
+    engaged = 0
+    for g in graphs:
+        value, y, x, bland = lp_reference.simplex_packing(g.closed_masks, g.n, stall_limit=1)
+        engaged += bland
+        sol = fractional_domination(g)
+        assert sol.value == value == lp_reference.fractional_domination(g)[0]
+        assert (sol.primal, sol.dual) == (x, y)
+        assert feasible(g, sol)
+    assert engaged >= len(graphs) // 2
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # On the path 0-1-2-3, value = 2 * denom; every corruption but the
+        # sums keeps sum(x) == sum(y) == value, so its own check must fire.
+        (lambda d, v, y, x: (d, v, y, [2 * d, 0, 0, 0]), "domination .* at vertex 2"),
+        (lambda d, v, y, x: (d, v, [d, d, 0, 0], x), "packing constraint violated at vertex 0"),
+        (lambda d, v, y, x: (d, v, [d, 0, -d, 2 * d], x), "negative coordinate"),
+        (lambda d, v, y, x: (d, v, y, [x[0] + d, *x[1:]]), "objective mismatch"),
+        (lambda d, v, y, x: (0, v, y, x), "denominator"),
+        (lambda d, v, y, x: (-d, -v, [-c for c in y], [-c for c in x]), "denominator"),
+    ],
+)
+def test_certificate_check_rejects_corrupted_solutions(monkeypatch, change, message):
+    p4 = gen_named("P4")
+    assert fractional_domination(p4).value == 2
+    solve = lp._simplex_packing
+    monkeypatch.setattr(lp, "_simplex_packing", lambda closed, n: change(*solve(closed, n)))
+    with pytest.raises(LpError, match=message):
+        fractional_domination(p4)
+
+
+def test_lp_module_has_no_floating_point():
+    # The module docstring promises exact arithmetic throughout.
+    with open(lp.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        assert not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+        assert not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
 
 
 def test_harmonic():
