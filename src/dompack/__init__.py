@@ -10,7 +10,6 @@ from .constructions import (
     tree_dompack,
 )
 from .errors import (
-    BudgetExceededError,
     ConstructionError,
     DompackError,
     EmbeddingError,
@@ -35,24 +34,19 @@ from .planar import (
     charge_audit,
     embed_maximal_planar,
     find_low_degree_edge,
-    icosahedron_embedding,
     random_min_degree4_planar,
     random_planar,
     random_planar_embedding,
     triangulate_preserving_independent,
 )
 from .recognition import (
-    HExtremalWitness,
-    Ordering,
     bipartition,
     find_h_extremal_witness,
     find_homogeneous_ordering,
     find_simple_elimination_ordering,
     is_chordal_bipartite,
-    is_homogeneous,
     is_tree,
     split_clique,
-    validate_homogeneous_ordering,
     validate_simple_elimination_ordering,
 )
 from .generators import (
@@ -70,12 +64,9 @@ from .generators import (
 )
 from .solvers import (
     SolveResult,
-    brute_force_domination,
-    brute_force_packing,
     exact_domination,
     exact_packing,
     greedy_domination,
-    max_ratio,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -344,7 +344,7 @@ def cmd_verify(args) -> int:
         for i in range(args.count)
     ]
     out = _Output(args)
-    max_ratio = Fraction(0)
+    worst = Fraction(0)
     generated = attempts = 0  # chordal-bipartite graphs and generator attempts
     with contextlib.ExitStack() as stack:
         solve = map
@@ -355,7 +355,7 @@ def cmd_verify(args) -> int:
             solve = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
         for rec in solve(_verify_one, payloads):
             out.record(rec)
-            max_ratio = max(max_ratio, Fraction(rec["ratio"]))
+            worst = max(worst, Fraction(rec["ratio"]))
             if "gen_attempts" in rec:
                 generated += 1
                 attempts += rec["gen_attempts"]
@@ -365,7 +365,7 @@ def cmd_verify(args) -> int:
         "bound": str(bound),
         "instances": out.records,
         "violations": out.failures,
-        "max_ratio": str(max_ratio),
+        "max_ratio": str(worst),
     }
     if generated:
         summary["generator_acceptance"] = round(generated / attempts, 4)
@@ -544,11 +544,19 @@ def cmd_lemmacheck(args) -> int:
 # -- entry ---------------------------------------------------------------------
 
 
+def _env_seed() -> int:
+    text = os.environ.get("DOMPACK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise DompackError(f"DOMPACK_SEED must be an integer, got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("DOMPACK_SEED", "0")),
+        default=_env_seed(),
         help="master seed (default: env DOMPACK_SEED or 0)",
     )
     parser.add_argument("--format", choices=("json", "table", "csv"), default="table")
@@ -605,8 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with _open_out(args.out) as args.stream:
             return args.func(args)
     except DompackError as exc:

@@ -20,8 +20,6 @@ from fractions import Fraction
 from .errors import ConstructionError, GraphError
 from .graph import Graph, VertexSet, _mask_bits, is_dominating, is_packing
 from .recognition import (
-    SIMPLE_ELIMINATION,
-    Ordering,
     _square_cliques,
     bipartition,
     find_simple_elimination_ordering,
@@ -108,7 +106,7 @@ def tree_dompack(t: Graph, root: int) -> DomPackCertificate:
     return cert
 
 
-def strongly_chordal_dompack(g: Graph, ordering: Ordering) -> DomPackCertificate:
+def strongly_chordal_dompack(g: Graph, ordering: tuple[int, ...]) -> DomPackCertificate:
     """Single-pass gamma = rho pair along a simple elimination ordering.
 
     When v_i is still undominated, the dominator is the member of N[v_i]
@@ -117,8 +115,6 @@ def strongly_chordal_dompack(g: Graph, ordering: Ordering) -> DomPackCertificate
     packing property of P is exactly where the ordering is exercised, so the
     certificate is always revalidated.
     """
-    if ordering.kind != SIMPLE_ELIMINATION:
-        raise GraphError(f"expected a {SIMPLE_ELIMINATION} ordering")
     if not validate_simple_elimination_ordering(g, ordering):
         raise GraphError("ordering is not a simple elimination ordering of g")
     adj = g._adj
@@ -127,7 +123,7 @@ def strongly_chordal_dompack(g: Graph, ordering: Ordering) -> DomPackCertificate
     dominated = 0
     d_mask = 0
     p_mask = 0
-    for v in ordering.perm:
+    for v in ordering:
         if not (dominated >> v) & 1:
             best_u = -1
             best_cover = -1

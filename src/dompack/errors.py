@@ -25,10 +25,6 @@ class PreconditionError(DompackError, ValueError):
     """A documented operation precondition was violated by the caller."""
 
 
-class BudgetExceededError(DompackError, RuntimeError):
-    """A search exceeded its explicit budget; distinct from a negative answer."""
-
-
 class ConstructionError(DompackError, RuntimeError):
     """A constructive algorithm produced a certificate that failed revalidation."""
 

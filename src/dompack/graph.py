@@ -1,9 +1,9 @@
 """Core graph substrate: fixed-capacity vertex sets and immutable simple graphs.
 
-Vertices are dense 0-based indices.  Graphs are values: every edit returns a
-copy, and vertex deletion returns the old->new index map so callers can track
-named vertices through surgery.  Adjacency is stored as one int bitmask per
-vertex, which keeps the solver hot loops cheap.
+Vertices are dense 0-based indices.  Graphs are immutable values with no edit
+operations; an induced subgraph is densely reindexed and returned with its
+old->new index map.  Adjacency is stored as one int bitmask per vertex, which
+keeps the solver hot loops cheap.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class VertexSet:
         return obj
 
     @classmethod
-    def empty(cls, capacity: int) -> VertexSet:
-        return cls.from_mask(capacity, 0)
-
-    @classmethod
     def full(cls, capacity: int) -> VertexSet:
         return cls.from_mask(capacity, (1 << capacity) - 1)
 
@@ -90,23 +86,9 @@ class VertexSet:
         self._check_compatible(other)
         return VertexSet.from_mask(self.capacity, self.mask & ~other.mask)
 
-    def isdisjoint(self, other: VertexSet) -> bool:
-        self._check_compatible(other)
-        return self.mask & other.mask == 0
-
     def issubset(self, other: VertexSet) -> bool:
         self._check_compatible(other)
         return self.mask & ~other.mask == 0
-
-    def add(self, v: int) -> VertexSet:
-        if not 0 <= v < self.capacity:
-            raise VertexRangeError(f"vertex {v} outside 0..{self.capacity - 1}")
-        return VertexSet.from_mask(self.capacity, self.mask | (1 << v))
-
-    def remove(self, v: int) -> VertexSet:
-        if v not in self:
-            raise VertexRangeError(f"vertex {v} not in set")
-        return VertexSet.from_mask(self.capacity, self.mask & ~(1 << v))
 
     def complement(self) -> VertexSet:
         return VertexSet.from_mask(self.capacity, ((1 << self.capacity) - 1) & ~self.mask)
@@ -178,11 +160,6 @@ class Graph:
 
     # -- basic queries -----------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return (self._adj[u] >> v) & 1 == 1
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self._adj[v].bit_count()
@@ -201,10 +178,6 @@ class Graph:
                 out.append((u, u + 1 + k))
         return out
 
-    def neighbors(self, v: int) -> VertexSet:
-        self._check_vertex(v)
-        return VertexSet.from_mask(self.n, self._adj[v])
-
     def closed_neighborhood(self, v: int) -> VertexSet:
         """All vertices at distance <= 1 from v (always contains v)."""
         self._check_vertex(v)
@@ -214,12 +187,6 @@ class Graph:
         """All vertices at distance <= 2 from v."""
         self._check_vertex(v)
         return VertexSet.from_mask(self.n, self.second_masks[v])
-
-    def closed_neighborhood_of_set(self, s: VertexSet) -> VertexSet:
-        mask = s.mask
-        for v in _mask_bits(s.mask):
-            mask |= self._closed[v]
-        return VertexSet.from_mask(self.n, mask)
 
     def bfs_depths(self, root: int) -> list[float]:
         """Distance from root per vertex; math.inf for unreachable vertices."""
@@ -241,28 +208,6 @@ class Graph:
             frontier = nxt
         return depths
 
-    def distance(self, u: int, v: int) -> float:
-        """BFS distance; math.inf when u and v are in different components."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
-        target = 1 << v
-        frontier = 1 << u
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for w in _mask_bits(frontier):
-                nxt |= self._adj[w]
-            nxt &= ~seen
-            if nxt & target:
-                return d
-            seen |= nxt
-            frontier = nxt
-        return math.inf
-
     def component_mask(self, v: int) -> int:
         self._check_vertex(v)
         frontier = 1 << v
@@ -276,47 +221,8 @@ class Graph:
             frontier = nxt
         return seen
 
-    def components(self) -> list[VertexSet]:
-        remaining = (1 << self.n) - 1
-        out = []
-        while remaining:
-            v = (remaining & -remaining).bit_length() - 1
-            comp = self.component_mask(v)
-            out.append(VertexSet.from_mask(self.n, comp))
-            remaining &= ~comp
-        return out
-
     def is_connected(self) -> bool:
         return self.component_mask(0).bit_count() == self.n
-
-    # -- value-semantic edits ----------------------------------------------
-
-    def add_edge(self, u: int, v: int) -> Graph:
-        if self.has_edge(u, v):
-            raise GraphError(f"edge ({u},{v}) already present")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        return Graph(self.n, self.edges() + [(u, v)])
-
-    def delete_edge(self, u: int, v: int) -> Graph:
-        if not self.has_edge(u, v):
-            raise GraphError(f"edge ({u},{v}) not present")
-        a, b = min(u, v), max(u, v)
-        return Graph(self.n, [e for e in self.edges() if e != (a, b)])
-
-    def delete_vertex(self, v: int) -> tuple[Graph, dict[int, int]]:
-        """Delete v, densely reindex, and return (graph, old->new index map)."""
-        self._check_vertex(v)
-        if self.n == 1:
-            raise GraphError("cannot delete the last vertex")
-        index_map = {}
-        for old in range(self.n):
-            if old != v:
-                index_map[old] = old if old < v else old - 1
-        edges = [
-            (index_map[a], index_map[b]) for a, b in self.edges() if v not in (a, b)
-        ]
-        return Graph(self.n - 1, edges), index_map
 
     def induced_subgraph(self, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
         """Subgraph induced by `keep`, densely reindexed, with old->new map."""

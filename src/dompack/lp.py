@@ -34,8 +34,6 @@ from .errors import DompackError
 from .graph import Graph
 from .solvers import exact_domination, exact_packing
 
-Rational = Fraction
-
 
 class LpError(DompackError, RuntimeError):
     """Internal simplex invariant violation."""
@@ -43,9 +41,9 @@ class LpError(DompackError, RuntimeError):
 
 @dataclass(frozen=True)
 class LpSolution:
-    value: Rational
-    primal: tuple[Rational, ...]  # x: fractional dominating vector
-    dual: tuple[Rational, ...]  # y: fractional packing vector
+    value: Fraction
+    primal: tuple[Fraction, ...]  # x: fractional dominating vector
+    dual: tuple[Fraction, ...]  # y: fractional packing vector
 
 
 _STALL_LIMIT = 40
@@ -174,8 +172,8 @@ def fractional_domination(g: Graph) -> LpSolution:
 @dataclass(frozen=True)
 class SandwichReport:
     rho: int
-    rho_f: Rational
-    gamma_f: Rational
+    rho_f: Fraction
+    gamma_f: Fraction
     gamma: int
 
     @property
@@ -200,6 +198,6 @@ def verify_sandwich(
     )
 
 
-def harmonic(k: int) -> Rational:
+def harmonic(k: int) -> Fraction:
     """H(k) = 1 + 1/2 + ... + 1/k as an exact rational."""
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))

@@ -137,9 +137,6 @@ class PlanarEmbedding:
 
     # -- views ---------------------------------------------------------------
 
-    def face_sizes(self) -> list[int]:
-        return sorted(len(f) for f in self.faces)
-
     def is_triangulated(self) -> bool:
         return all(len(f) == 3 for f in self.faces)
 
@@ -197,29 +194,6 @@ class PlanarEmbedding:
             for u, nbrs in enumerate(neighbor_rotation)
         ]
         return cls(n, edges, rotation)
-
-
-_ICOSAHEDRON_ROTATION = [
-    [5, 1, 2, 3, 4],
-    [6, 7, 2, 0, 5],
-    [1, 7, 8, 3, 0],
-    [0, 2, 8, 9, 4],
-    [5, 0, 3, 9, 10],
-    [6, 1, 0, 4, 10],
-    [7, 1, 5, 10, 11],
-    [2, 1, 6, 11, 8],
-    [2, 7, 11, 9, 3],
-    [8, 11, 10, 4, 3],
-    [11, 6, 5, 4, 9],
-    [7, 6, 10, 9, 8],
-]
-
-
-def icosahedron_embedding() -> PlanarEmbedding:
-    """The icosahedron as a triangulated embedding (5-regular, 20 faces)."""
-    return PlanarEmbedding.from_json(
-        json.dumps({"n": 12, "rotation": _ICOSAHEDRON_ROTATION})
-    )
 
 
 # -- construction ------------------------------------------------------------
@@ -554,7 +528,9 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
         rng = random.Random(derive_seed(seed, attempt))
         work = _embed_maximal_planar(rng, n)
         _flip_random_edges(work, rng, 6 * len(work.edges))
-        g = work.finish().graph()
+        # Flips keep the triangulation simple and planar, so the graph is read
+        # from the edge list without freezing the workspace into an embedding.
+        g = Graph(len(work.rot), work.edges)
         active = (1 << g.n) - 1
         adj = [g.adjacency_mask(v) for v in range(g.n)]
         while True:

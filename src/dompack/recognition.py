@@ -8,39 +8,11 @@ also keeps a greedy h-extremal elimination from blocking), in polynomial time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphError
 from .graph import Graph, VertexSet, _mask_bits
 
-SIMPLE_ELIMINATION = "simple-elimination"
-HOMOGENEOUS = "homogeneous"
-
-
-@dataclass(frozen=True)
-class Ordering:
-    perm: tuple[int, ...]
-    kind: str
-
-
-@dataclass(frozen=True)
-class HExtremalWitness:
-    vertex: int
-    dominating_set: VertexSet
-
-
 def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and g.is_connected()
-
-
-def is_homogeneous(g: Graph, a: VertexSet) -> bool:
-    """True iff every member of `a` has the same neighborhood outside `a`."""
-    if not a:
-        raise GraphError("homogeneity is defined for nonempty sets")
-    outside = ~a.mask
-    members = a.members()
-    target = g.adjacency_mask(members[0]) & outside
-    return all(g.adjacency_mask(v) & outside == target for v in members[1:])
 
 
 def _join_side(adj: tuple[int, ...], u: int) -> int:
@@ -151,7 +123,7 @@ def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
     return 0
 
 
-def find_h_extremal_witness(g: Graph, v: int) -> HExtremalWitness | None:
+def find_h_extremal_witness(g: Graph, v: int) -> VertexSet | None:
     """Homogeneous D inside N[v] dominating N^2[v] (v is h-extremal), or None.
 
     D is a module.  Domination only grows with D, and modules that share a
@@ -162,10 +134,10 @@ def find_h_extremal_witness(g: Graph, v: int) -> HExtremalWitness | None:
     """
     g._check_vertex(v)
     dmask = _h_extremal(g._adj, (1 << g.n) - 1, v)
-    return HExtremalWitness(v, VertexSet.from_mask(g.n, dmask)) if dmask else None
+    return VertexSet.from_mask(g.n, dmask) if dmask else None
 
 
-def find_homogeneous_ordering(g: Graph) -> Ordering | None:
+def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
     """A homogeneous ordering of g, or None when g has none; polynomial time.
 
     Each step removes the lowest vertex v that is h-extremal in g[active] and
@@ -188,19 +160,7 @@ def find_homogeneous_ordering(g: Graph) -> Ordering | None:
             return None
         perm.append(v)
         active = rest
-    return Ordering(tuple(perm), HOMOGENEOUS)
-
-
-def validate_homogeneous_ordering(g: Graph, ordering: Ordering) -> bool:
-    """Re-check h-extremality of each vertex in its suffix-induced subgraph."""
-    if sorted(ordering.perm) != list(range(g.n)):
-        return False
-    active = (1 << g.n) - 1
-    for v in ordering.perm:
-        if not _h_extremal(g._adj, active, v):
-            return False
-        active &= ~(1 << v)
-    return True
+    return tuple(perm)
 
 
 def _is_simple_vertex(adj: tuple[int, ...], active: int, v: int) -> bool:
@@ -213,7 +173,7 @@ def _is_simple_vertex(adj: tuple[int, ...], active: int, v: int) -> bool:
     return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
 
 
-def find_simple_elimination_ordering(g: Graph) -> Ordering | None:
+def find_simple_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
     """Greedy simple-vertex elimination; succeeds iff g is strongly chordal.
 
     Strongly chordal graphs are closed under induced subgraphs and always
@@ -230,14 +190,14 @@ def find_simple_elimination_ordering(g: Graph) -> Ordering | None:
                 break
         else:
             return None
-    return Ordering(tuple(perm), SIMPLE_ELIMINATION)
+    return tuple(perm)
 
 
-def validate_simple_elimination_ordering(g: Graph, ordering: Ordering) -> bool:
-    if sorted(ordering.perm) != list(range(g.n)):
+def validate_simple_elimination_ordering(g: Graph, ordering: tuple[int, ...]) -> bool:
+    if sorted(ordering) != list(range(g.n)):
         return False
     active = (1 << g.n) - 1
-    for v in ordering.perm:
+    for v in ordering:
         if not _is_simple_vertex(g._adj, active, v):
             return False
         active &= ~(1 << v)

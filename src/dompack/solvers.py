@@ -1,9 +1,9 @@
 """Exact domination and packing solvers, with X-relativized variants.
 
 `exact_domination` / `exact_packing` are branch-and-bound searches over
-bitmask state; `brute_force_*` enumerate vertex subsets outright and exist
-purely to validate the branch-and-bound path.  Ties break toward the lowest
-vertex index everywhere so witnesses are reproducible.
+bitmask state, and `greedy_domination` is the max-coverage greedy, whose size
+is at most H(max degree + 1) times gamma.  Ties break toward the lowest vertex
+index everywhere so witnesses are reproducible.
 
 Both searches branch on the most constrained vertex.  Domination is a set
 cover of the uncovered vertices by closed neighbourhoods: it branches on the
@@ -18,10 +18,8 @@ Each solver's docstring says why its rules lose no optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
-from .graph import Graph, VertexSet, _mask_bits, is_packing
+from .graph import Graph, VertexSet, _mask_bits
 
 
 @dataclass(frozen=True)
@@ -196,47 +194,7 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
     return SolveResult(best_size, VertexSet(n, best_set), nodes, True)
 
 
-def brute_force_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
-    """Subset enumeration oracle for exact_domination (use at n <= 8)."""
-    n = g.n
-    full = (1 << n) - 1
-    closed = g.closed_masks
-    start = x.mask if x is not None else 0
-    checked = 0
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            checked += 1
-            covered = start
-            for v in combo:
-                covered |= closed[v]
-            if covered == full:
-                return SolveResult(k, VertexSet(n, combo), checked, True)
-    raise AssertionError("unreachable: V(g) always dominates")
-
-
-def brute_force_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
-    """Subset enumeration oracle for exact_packing (use at n <= 8)."""
-    n = g.n
-    xmask = x.mask if x is not None else 0
-    eligible = [v for v in range(n) if not (xmask >> v) & 1]
-    checked = 0
-    for k in range(len(eligible), -1, -1):
-        for combo in combinations(eligible, k):
-            checked += 1
-            p = VertexSet(n, combo)
-            if is_packing(g, p, x):
-                return SolveResult(k, p, checked, True)
-    raise AssertionError("unreachable: the empty set is always a packing")
-
-
 def greedy_domination(g: Graph) -> SolveResult:
     """Greedy max-coverage dominating set; H(max degree + 1) guarantee."""
     chosen = _greedy_cover(g.n, g.closed_masks, 0)
     return SolveResult(len(chosen), VertexSet(g.n, chosen), 0, False)
-
-
-def max_ratio(g: Graph) -> Fraction:
-    """gamma(g) / rho(g) as an exact rational."""
-    gamma = exact_domination(g).value
-    rho = exact_packing(g).value
-    return Fraction(gamma, rho)

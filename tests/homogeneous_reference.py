@@ -5,9 +5,24 @@ lexicographic, order, and `homogeneous_ordering` backtracks over h-extremal
 vertices with a memo of vertex sets that have no ordering.  Both take
 exponential time and share no code with `dompack.recognition`, so the tests
 use them as the oracle for its polynomial algorithms on small graphs.
+`is_homogeneous` is the definition of a homogeneous set, which the tests use
+to check the witnesses that `find_h_extremal_witness` returns.
 """
 
 from itertools import combinations
+
+from dompack import GraphError
+
+
+def is_homogeneous(g, a):
+    """True iff every member of the VertexSet `a` has the same neighborhood
+    outside `a`."""
+    if not a:
+        raise GraphError("homogeneity is defined for nonempty sets")
+    outside = ~a.mask
+    members = a.members()
+    target = g.adjacency_mask(members[0]) & outside
+    return all(g.adjacency_mask(v) & outside == target for v in members[1:])
 
 
 def _members(mask):

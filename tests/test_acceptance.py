@@ -13,11 +13,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from solver_reference import brute_force_domination, brute_force_packing
 
 from dompack import (
     VertexSet,
-    brute_force_domination,
-    brute_force_packing,
     charge_audit,
     chordal_bipartite_dompack,
     embed_maximal_planar,

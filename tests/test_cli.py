@@ -104,13 +104,19 @@ def test_compute_parse_failure(capsys, tmp_path):
         ["compute", "missing.g6"],
         ["compute", "-", "--out", "missing-dir/out.json"],
         ["compute", "binary.dat"],
+        ["DOMPACK_SEED=abc", "verify", "--class", "tree"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     # Exit 1 means a bound was violated; bad input is exit 2 with a message.
+    # Leading NAME=value items set environment variables, as in a shell.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.dat").write_bytes(b"\xff\xfe\n")
     monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     if argv[0] in ("verify", "lemmacheck"):
         argv = argv + ["--count", "2"]
     assert main(argv) == 2
@@ -422,23 +428,25 @@ def test_env_seed(capsys, monkeypatch):
     assert [r["graph6"] for r in recs1] == [r["graph6"] for r in recs2]
 
 
-def test_console_entry_point():
+def test_console_entry_point(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "dompack.cli", "compute", "-", "--format", "json"],
         input="C~\n",
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.splitlines()[0])["gamma"] == 1
 
 
-def test_stdin_edge_json():
+def test_stdin_edge_json(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "dompack.cli", "compute", "-", "--format", "json"],
         input='{"n": 4, "edges": [[0,1],[1,2],[2,3],[3,0]]}\n',
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.splitlines()[0])["gamma"] == 2

@@ -27,7 +27,6 @@ from dompack.generators import (
     gen_interval,
     gen_tree,
 )
-from dompack.recognition import Ordering
 
 
 def check_certificate(g, cert):
@@ -100,11 +99,14 @@ def test_strongly_chordal_interval_instances():
 
 
 def test_strongly_chordal_rejects_bad_ordering():
-    p4 = gen_named("P4")
-    with pytest.raises(GraphError):
-        strongly_chordal_dompack(p4, Ordering((3, 2, 1, 0), "homogeneous"))
-    with pytest.raises(GraphError):
-        strongly_chordal_dompack(gen_named("C6"), Ordering((0, 1, 2, 3, 4, 5), "simple-elimination"))
+    # Not a simple elimination ordering, not a permutation, out of range.
+    for name, ordering in [
+        ("C6", (0, 1, 2, 3, 4, 5)),
+        ("P4", (0, 0, 1, 2)),
+        ("P4", (0, 1, 2, 9)),
+    ]:
+        with pytest.raises(GraphError):
+            strongly_chordal_dompack(gen_named(name), ordering)
 
 
 def test_chordal_bipartite_examples():

@@ -4,6 +4,7 @@ import pytest
 from homogeneous_reference import (
     h_extremal_witness,
     homogeneous_ordering,
+    is_homogeneous,
     is_homogeneous_ordering,
 )
 
@@ -17,10 +18,8 @@ from dompack import (
     find_simple_elimination_ordering,
     gen_named,
     is_chordal_bipartite,
-    is_homogeneous,
     is_tree,
     split_clique,
-    validate_homogeneous_ordering,
     validate_simple_elimination_ordering,
 )
 from dompack.generators import (
@@ -68,11 +67,10 @@ def test_is_homogeneous():
 
 def test_h_extremal_witness_examples():
     c4 = gen_named("C4")
-    witness = find_h_extremal_witness(c4, 0)
-    assert sorted(witness.dominating_set) == [1, 3]
+    assert sorted(find_h_extremal_witness(c4, 0)) == [1, 3]
 
     k1 = gen_named("K1")
-    assert sorted(find_h_extremal_witness(k1, 0).dominating_set) == [0]
+    assert sorted(find_h_extremal_witness(k1, 0)) == [0]
 
     p5 = gen_named("P5")
     assert find_h_extremal_witness(p5, 2) is None
@@ -82,13 +80,14 @@ def test_h_extremal_witness_validates():
     for i in range(40):
         g = gen_gnp(GenSpec("gnp", 4 + i % 8, derive_seed(1300, i), {"edge_prob": 0.35}))
         for v in range(g.n):
-            witness = find_h_extremal_witness(g, v)
-            if witness is None:
+            d = find_h_extremal_witness(g, v)
+            if d is None:
                 continue
-            d = witness.dominating_set
             assert d.issubset(g.closed_neighborhood(v))
             assert is_homogeneous(g, d)
-            covered = g.closed_neighborhood_of_set(d)
+            covered = d
+            for u in d:
+                covered = covered | g.closed_neighborhood(u)
             assert g.second_closed_neighborhood(v).issubset(covered)
 
 
@@ -96,7 +95,7 @@ def test_h_extremal_degree_cap():
     # No degree cap: the centre of a star with 25 leaves is h-extremal.
     star = gen_named("star25")
     witness = find_h_extremal_witness(star, 0)
-    assert witness is not None and witness.dominating_set.issubset(star.closed_neighborhood(0))
+    assert witness is not None and witness.issubset(star.closed_neighborhood(0))
 
 
 def test_h_extremal_module_test_matches_subset_search():
@@ -123,7 +122,7 @@ def test_homogeneous_ordering_matches_backtracking():
             ordering = find_homogeneous_ordering(g)
             assert (ordering is None) == (homogeneous_ordering(g._adj, n) is None)
             if ordering is not None:
-                assert is_homogeneous_ordering(g._adj, ordering.perm)
+                assert is_homogeneous_ordering(g._adj, ordering)
                 accepted += 1
     assert accepted == 814
 
@@ -131,24 +130,24 @@ def test_homogeneous_ordering_matches_backtracking():
 def test_homogeneous_ordering_examples():
     c4 = gen_named("C4")
     ordering = find_homogeneous_ordering(c4)
-    assert ordering is not None and ordering.kind == "homogeneous"
-    assert validate_homogeneous_ordering(c4, ordering)
+    assert ordering is not None
+    assert is_homogeneous_ordering(c4._adj, ordering)
 
     k1 = gen_named("K1")
-    assert find_homogeneous_ordering(k1).perm == (0,)
+    assert find_homogeneous_ordering(k1) == (0,)
 
     for i in range(20):
         t = gen_tree(GenSpec("tree", 2 + i % 9, derive_seed(1301, i)))
         ordering = find_homogeneous_ordering(t)
         assert ordering is not None
-        assert validate_homogeneous_ordering(t, ordering)
+        assert is_homogeneous_ordering(t._adj, ordering)
 
 
 def test_simple_elimination_examples():
     p4 = gen_named("P4")
     ordering = find_simple_elimination_ordering(p4)
-    assert ordering is not None and ordering.kind == "simple-elimination"
-    assert ordering.perm[0] == 0  # leaf first
+    assert ordering is not None
+    assert ordering[0] == 0  # leaf first
     assert validate_simple_elimination_ordering(p4, ordering)
 
     assert find_simple_elimination_ordering(gen_named("C6")) is None
@@ -162,12 +161,10 @@ def test_simple_elimination_examples():
 
 def test_validate_rejects_bad_orderings():
     c6 = gen_named("C6")
-    from dompack.recognition import Ordering
-
-    assert not validate_simple_elimination_ordering(c6, Ordering(tuple(range(6)), "simple-elimination"))
-    assert not validate_simple_elimination_ordering(gen_named("P4"), Ordering((0, 0, 1, 2), "simple-elimination"))
+    assert not validate_simple_elimination_ordering(c6, tuple(range(6)))
+    assert not validate_simple_elimination_ordering(gen_named("P4"), (0, 0, 1, 2))
     # P5's center is not h-extremal, so center-first fails
-    assert not validate_homogeneous_ordering(gen_named("P5"), Ordering((2, 0, 1, 3, 4), "homogeneous"))
+    assert not is_homogeneous_ordering(gen_named("P5")._adj, (2, 0, 1, 3, 4))
 
 
 def test_split_clique_examples():

@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
+
+from solver_reference import brute_force_domination, brute_force_packing
 
 from dompack import (
     VertexSet,
-    brute_force_domination,
-    brute_force_packing,
     exact_domination,
     exact_packing,
     gen_named,
@@ -12,7 +11,6 @@ from dompack import (
     greedy_domination,
     is_dominating,
     is_packing,
-    max_ratio,
     parse_graph6,
     tree_dompack,
 )
@@ -97,12 +95,6 @@ def test_greedy_examples():
     assert greedy_domination(gen_named("K7")).value == 1
     res = greedy_domination(gen_named("P7"))
     assert not res.optimal and is_dominating(gen_named("P7"), res.witness)
-
-
-def test_max_ratio():
-    assert max_ratio(gen_named("C4")) == Fraction(2)
-    assert max_ratio(gen_tree(GenSpec("tree", 15, 3))) == Fraction(1)
-    assert max_ratio(gen_rook(3, 3)) == Fraction(3)
 
 
 def test_planar_ratio_three_exhibit():
