@@ -26,8 +26,6 @@ def test_closed_neighborhood_examples():
     assert sorted(k1.closed_neighborhood(0)) == [0]
     star = gen_named("star5")
     assert sorted(star.closed_neighborhood(0)) == [0, 1, 2, 3, 4, 5]
-    with pytest.raises(VertexRangeError):
-        c4.closed_neighborhood(4)
 
 
 def test_second_closed_neighborhood_examples():
@@ -60,6 +58,19 @@ def test_is_packing_examples():
     c4 = gen_named("C4")
     assert not is_packing(c4, vs(c4, 0, 2))
     assert not is_packing(c4, vs(c4, 0), vs(c4, 0))
+
+
+def test_edit_errors():
+    c4 = gen_named("C4")
+    with pytest.raises(VertexRangeError):
+        c4.closed_neighborhood(4)
+    for query in (c4.degree, c4.second_closed_neighborhood, c4.bfs_depths, c4.component_mask):
+        with pytest.raises(VertexRangeError):
+            query(4)
+        with pytest.raises(VertexRangeError):
+            query(-1)
+    with pytest.raises(GraphError):
+        c4.induced_subgraph(VertexSet(4))
 
 
 def test_graph_construction_rejects_non_simple():
