@@ -6,15 +6,16 @@ included, carries its graph's graph6, n and m, its GenSpec when `verify`
 generated the graph (so it replays bit-exactly), and its wall_time.  A
 record that holds gamma and rho solved each of them once (once more per X
 set).  `_Output` writes each record as soon as it is made, as a JSON line, an
-aligned table row or a CSV row, and ends with a summary; any bound
-violation, invalid certificate, or lemma falsification makes the exit status
-nonzero.
+aligned table row or a CSV row, and ends with a summary, which returns the
+exit status: 1 when any record failed (a bound violation, an invalid
+certificate, or a lemma falsification).  Bad input exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
 
 from . import codec
 from .constructions import (
@@ -50,46 +52,18 @@ from .recognition import (
 )
 from .solvers import exact_domination, exact_packing
 
-VERIFY_CLASSES = (
-    "tree",
-    "strongly-chordal",
-    "chordal-bipartite",
-    "homogeneously-orderable",
-    "planar",
-    "rook",
-    "any",
-)
-
-DEFAULT_BOUNDS = {
-    "tree": Fraction(1),
-    "strongly-chordal": Fraction(1),
-    "chordal-bipartite": Fraction(2),
-    "homogeneously-orderable": Fraction(2),
-    "planar": Fraction(7),
-    "rook": Fraction(1),
-    "any": Fraction(1),
+# Per verify class: the default bound c in gamma <= c * rho, the default --n,
+# and the smallest --n its instance generator can draw from.
+CLASSES = {
+    "tree": (Fraction(1), 50, 2),
+    "strongly-chordal": (Fraction(1), 40, 2),
+    "chordal-bipartite": (Fraction(2), 16, 4),
+    "homogeneously-orderable": (Fraction(2), 14, 2),
+    "planar": (Fraction(7), 30, 4),
+    "rook": (Fraction(1), 25, 4),
+    "any": (Fraction(1), 12, 2),
 }
-
-DEFAULT_MAX_N = {
-    "tree": 50,
-    "strongly-chordal": 40,
-    "chordal-bipartite": 16,
-    "homogeneously-orderable": 14,
-    "planar": 30,
-    "rook": 25,
-    "any": 12,
-}
-
-# The smallest --n each class's instance generator can draw from.
-MIN_N = {
-    "tree": 2,
-    "strongly-chordal": 2,
-    "chordal-bipartite": 4,
-    "homogeneously-orderable": 2,
-    "planar": 4,
-    "rook": 4,
-    "any": 2,
-}
+CONSTRUCT_CLASSES = ("tree", "strongly-chordal", "chordal-bipartite", "homogeneously-orderable")
 
 
 def _record(g: Graph | None, t0: float, **fields) -> dict:
@@ -170,13 +144,15 @@ class _Output:
                 f"{str(rec.get('passed', '')):>5}"
             )
 
-    def summary(self, summary: dict) -> None:
+    def summary(self, summary: dict) -> int:
+        """Write the summary; the exit status, 1 when any record failed."""
         text = json.dumps({"summary": summary}, sort_keys=True)
         if self._fmt == "csv":
             text = "# " + text
         elif self._fmt == "table":
             text = "summary: " + json.dumps(summary, sort_keys=True)
         self._write(text, flush=True)
+        return 1 if self.failures else 0
 
 
 def _open_out(path: str | None):
@@ -223,13 +199,17 @@ def _parse_fraction(text: str, option: str) -> Fraction:
         raise DompackError(f"{option} must be a rational number, got {text!r}") from None
 
 
+def _in_range(option: str, value: float, least: float, most: float = math.inf) -> float:
+    """`value` of `option`; outside [least, most] is a usage error."""
+    if not least <= value <= most:
+        bound = f"at least {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise DompackError(f"{option} must be {bound}, got {value}")
+    return value
+
+
 def _max_n(n: int | None, default: int, least: int) -> int:
     """The --n value, or `default` when it is not given; below `least` is an error."""
-    if n is None:
-        return default
-    if n < least:
-        raise DompackError(f"--n must be at least {least}, got {n}")
-    return n
+    return default if n is None else _in_range("--n", n, least)
 
 
 # -- compute -------------------------------------------------------------------
@@ -261,8 +241,7 @@ def cmd_compute(args) -> int:
             rho_witness=sorted(rho.witness),
             **fields,
         ))
-    out.summary({"instances": out.records, "violations": out.failures})
-    return 1 if out.failures else 0
+    return out.summary({"instances": out.records, "violations": out.failures})
 
 
 # -- verify --------------------------------------------------------------------
@@ -295,16 +274,12 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int, x_prob: float) -
     if cls == "rook":
         k = 2 + index % max(1, int(math.isqrt(max_n)) - 1)
         return GenSpec("rook", k * k, sub, {"k": k, "l": k})
-    if cls == "any":
-        return GenSpec("gnp", rng.randrange(2, max_n + 1), sub, {"edge_prob": 0.5})
-    raise DompackError(f"unknown class {cls!r}")
+    return GenSpec("gnp", rng.randrange(2, max_n + 1), sub, {"edge_prob": 0.5})  # "any"
 
 
-def _verify_one(payload: tuple) -> dict:
-    spec_json, bound, x_samples = payload
-    spec = GenSpec.from_json(spec_json)
+def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
     t0 = time.perf_counter()
-    fields = {"genspec": json.loads(spec_json), "bound": bound}
+    fields = {"genspec": dataclasses.asdict(spec), "bound": bound}
     if spec.family == "chordal-bipartite":
         g, fields["gen_attempts"] = gen_chordal_bipartite_with_stats(spec)
     else:
@@ -333,16 +308,15 @@ def _verify_one(payload: tuple) -> dict:
 
 def cmd_verify(args) -> int:
     cls = args.cls
-    bound = _parse_fraction(args.bound, "--bound") if args.bound else DEFAULT_BOUNDS[cls]
-    max_n = _max_n(args.n, DEFAULT_MAX_N[cls], MIN_N[cls])
-    payloads = [
-        (
-            _instance_spec(cls, i, args.seed, max_n, args.x_prob).to_json(),
-            bound,
-            args.x_samples if cls == "planar" else 0,
-        )
-        for i in range(args.count)
-    ]
+    default_bound, default_n, least_n = CLASSES[cls]
+    bound = _parse_fraction(args.bound, "--bound") if args.bound else default_bound
+    max_n = _max_n(args.n, default_n, least_n)
+    _in_range("--count", args.count, 0)
+    _in_range("--x-prob", args.x_prob, 0, 1)
+    _in_range("--x-samples", args.x_samples, 0)
+    _in_range("--jobs", args.jobs, 1)
+    specs = [_instance_spec(cls, i, args.seed, max_n, args.x_prob) for i in range(args.count)]
+    x_samples = args.x_samples if cls == "planar" else 0
     out = _Output(args)
     worst = Fraction(0)
     generated = attempts = 0  # chordal-bipartite graphs and generator attempts
@@ -353,7 +327,7 @@ def cmd_verify(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             solve = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
-        for rec in solve(_verify_one, payloads):
+        for rec in solve(_verify_one, specs, repeat(bound), repeat(x_samples)):
             out.record(rec)
             worst = max(worst, Fraction(rec["ratio"]))
             if "gen_attempts" in rec:
@@ -369,8 +343,7 @@ def cmd_verify(args) -> int:
     }
     if generated:
         summary["generator_acceptance"] = round(generated / attempts, 4)
-    out.summary(summary)
-    return 1 if out.failures else 0
+    return out.summary(summary)
 
 
 # -- construct -----------------------------------------------------------------
@@ -399,8 +372,6 @@ def cmd_construct(args) -> int:
                 if find_homogeneous_ordering(g) is None:
                     raise DompackError("input is not homogeneously orderable")
                 cert = homogeneously_orderable_dompack(g)
-            else:
-                raise DompackError(f"no constructive algorithm for class {cls!r}")
         except DompackError as exc:
             out.record(_record(g, t0, passed=False, error=str(exc)))
             continue
@@ -414,16 +385,30 @@ def cmd_construct(args) -> int:
             bound=cert.bound_constant,
             passed=cert.valid and len(cert.d) <= cert.bound_constant * len(cert.p),
         ))
-    out.summary({"class": cls, "instances": out.records, "failures": out.failures})
-    return 1 if out.failures else 0
+    return out.summary({"class": cls, "instances": out.records, "failures": out.failures})
 
 
 # -- search --------------------------------------------------------------------
 
 
+def _search_score(g: Graph) -> tuple[tuple[int, int], dict]:
+    """Solve g for search: its climb key, and its gamma, rho and exact ratio.
+
+    The key first rewards eliminating distant vertex pairs (rho drops to 1
+    exactly when none remain, and that is where large ratios live), then a
+    larger gamma.  The reported and target-tested quantity is the ratio.
+    """
+    gamma = exact_domination(g).value
+    rho = exact_packing(g).value
+    far = sum(g.n - mask.bit_count() for mask in g.second_masks)
+    climb = (1, gamma) if far == 0 else (0, -far)
+    return climb, {"gamma": gamma, "rho": rho, "ratio": Fraction(gamma, rho)}
+
+
 def cmd_search(args) -> int:
     if args.n > 30:
         raise DompackError("extremal search is capped at n <= 30")
+    _in_range("--iterations", args.iterations, 0)
     target = _parse_fraction(args.target, "--target")
     rng = random.Random(args.seed)
     best_graph, best = None, {"ratio": Fraction(0)}
@@ -438,44 +423,23 @@ def cmd_search(args) -> int:
         keep = rng.uniform(0.7, 1.0)
         present = {e for e in all_edges if rng.random() < keep}
 
-        def evaluate(graph: Graph):
-            gamma = exact_domination(graph).value
-            rho = exact_packing(graph).value
-            # Climb key: first eliminate distant vertex pairs (rho drops to
-            # 1 exactly when none remain, and that is where large ratios
-            # live), then push gamma up.  The reported and target-tested
-            # quantity is always the exact ratio.
-            far = sum(
-                graph.n - graph.second_masks[v].bit_count() for v in range(graph.n)
-            )
-            climb = (1, gamma) if far == 0 else (0, -far)
-            return climb, {"gamma": gamma, "rho": rho, "ratio": Fraction(gamma, rho)}
-
-        def consider(graph: Graph, solved: dict) -> None:
-            nonlocal best_graph, best
-            if solved["ratio"] > best["ratio"]:
-                best_graph, best = graph, solved
-
         g = Graph(args.n, sorted(present))
-        cur, solved = evaluate(g)
-        consider(g, solved)
+        cur, solved = _search_score(g)
+        if solved["ratio"] > best["ratio"]:
+            best_graph, best = g, solved
         stall = 0
         while iterations_left > 0 and best["ratio"] < target and stall < 12 * args.n:
             iterations_left -= 1
-            e = all_edges[rng.randrange(len(all_edges))]
-            nxt = set(present)
-            if e in nxt:
-                nxt.discard(e)
-            else:
-                nxt.add(e)
+            nxt = present ^ {all_edges[rng.randrange(len(all_edges))]}
             g = Graph(args.n, sorted(nxt))
-            climb, solved = evaluate(g)
-            if climb >= cur:
-                stall = stall + 1 if climb == cur else 0
-                present, cur = nxt, climb
-                consider(g, solved)
-            else:
+            climb, solved = _search_score(g)
+            if climb < cur:
                 stall += 1
+                continue
+            stall = stall + 1 if climb == cur else 0
+            present, cur = nxt, climb
+            if solved["ratio"] > best["ratio"]:
+                best_graph, best = g, solved
 
     found = best["ratio"] >= target
     # n is the requested size, also when no iteration ran and best_graph is None.
@@ -504,6 +468,7 @@ def _connected_min_degree2_embedding(seed: int, n_max: int):
 def cmd_lemmacheck(args) -> int:
     out = _Output(args)
     n_max = _max_n(args.n, 40, 4)  # triangulate and charge-audit draw n from 4..n_max
+    _in_range("--count", args.count, 0)
     for i in range(args.count):
         sub = derive_seed(args.seed, 7_000_000 + i)
         t0 = time.perf_counter()
@@ -522,7 +487,7 @@ def cmd_lemmacheck(args) -> int:
                 edge = find_low_degree_edge(g)
                 ok = edge is not None
                 fields = {"edge": list(edge) if edge else None}
-            elif args.lemma == "charge-audit":
+            else:  # charge-audit
                 rng = random.Random(sub)
                 n = rng.randrange(4, n_max + 1)
                 emb = embed_maximal_planar(sub, n)
@@ -532,13 +497,10 @@ def cmd_lemmacheck(args) -> int:
                 ledger = charge_audit(emb, ind)
                 ok = ledger.total == Fraction(-12) and len(ledger.negative_vertices) > 0
                 fields = {"total_charge": ledger.total, "transfers": len(ledger.transfers)}
-            else:
-                raise DompackError(f"unknown lemma {args.lemma!r}")
         except DompackError as exc:
             ok, fields = False, {"error": str(exc)}
         out.record(_record(g, t0, passed=ok, **fields))
-    out.summary({"lemma": args.lemma, "instances": out.records, "failures": out.failures})
-    return 1 if out.failures else 0
+    return out.summary({"lemma": args.lemma, "instances": out.records, "failures": out.failures})
 
 
 # -- entry ---------------------------------------------------------------------
@@ -578,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="bound-verification campaign over generated instances")
-    p.add_argument("--class", dest="cls", choices=VERIFY_CLASSES, required=True)
+    p.add_argument("--class", dest="cls", choices=CLASSES, required=True)
     p.add_argument("--bound", help="rational c to assert gamma <= c * rho (default per class)")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, help="max vertex count (default per class)")
@@ -589,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="run the class construction on input graphs")
-    p.add_argument("--class", dest="cls", choices=VERIFY_CLASSES[:4], required=True)
+    p.add_argument("--class", dest="cls", choices=CONSTRUCT_CLASSES, required=True)
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--root", type=int, default=0, help="root vertex for the tree construction")
     _add_common(p)

@@ -110,16 +110,15 @@ def parse_edge_json(text: str) -> Graph:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('edge JSON must be {"n": int, "edges": [[u,v],...]}')
+    # type() rather than isinstance(): JSON true and false are not vertices.
     n = obj["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ParseError("edge JSON field 'n' must be an integer")
+    if not isinstance(obj["edges"], list):
+        raise ParseError("edge JSON field 'edges' must be a list")
     edges = []
     for item in obj["edges"]:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2 or any(type(x) is not int for x in item):
             raise ParseError(f"malformed edge entry {item!r}")
         edges.append((item[0], item[1]))
     try:

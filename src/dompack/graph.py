@@ -23,6 +23,26 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _square_mask(adj: tuple[int, ...], active: int, v: int) -> int:
+    """N^2[v] in g[active]: the vertices of `active` within distance 2 of v."""
+    mask = 1 << v
+    for u in _mask_bits((adj[v] & active) | mask):
+        mask |= adj[u]
+    return mask & active
+
+
+def _first_fit(masks: tuple[int, ...], allowed: int) -> int:
+    """Lowest-index-first greedy over `allowed`: take the lowest vertex v
+    left, drop masks[v] (which holds v) from what is left, repeat; returns
+    the mask of the vertices taken."""
+    taken = 0
+    while allowed:
+        low = allowed & -allowed
+        taken |= low
+        allowed &= ~masks[low.bit_length() - 1]
+    return taken
+
+
 class VertexSet:
     """Immutable set of vertex indices drawn from a fixed range 0..capacity-1."""
 
@@ -144,14 +164,8 @@ class Graph:
     @property
     def second_masks(self) -> tuple[int, ...]:
         if self._second is None:
-            closed = self._closed
-            out = []
-            for v in range(self.n):
-                mask = closed[v]
-                for u in _mask_bits(self._adj[v]):
-                    mask |= closed[u]
-                out.append(mask)
-            self._second = tuple(out)
+            full = (1 << self.n) - 1
+            self._second = tuple([_square_mask(self._adj, full, v) for v in range(self.n)])
         return self._second
 
     def _check_vertex(self, v: int) -> None:
@@ -188,38 +202,28 @@ class Graph:
         self._check_vertex(v)
         return VertexSet.from_mask(self.n, self.second_masks[v])
 
+    def _layers(self, root: int) -> Iterator[int]:
+        """Breadth-first layers from root as masks: {root}, then each next distance."""
+        self._check_vertex(root)
+        layer = seen = 1 << root
+        while layer:
+            yield layer
+            nxt = 0
+            for v in _mask_bits(layer):
+                nxt |= self._adj[v]
+            layer = nxt & ~seen
+            seen |= layer
+
     def bfs_depths(self, root: int) -> list[float]:
         """Distance from root per vertex; math.inf for unreachable vertices."""
-        self._check_vertex(root)
         depths: list[float] = [math.inf] * self.n
-        depths[root] = 0
-        frontier = 1 << root
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in _mask_bits(frontier):
-                nxt |= self._adj[v]
-            nxt &= ~seen
-            for v in _mask_bits(nxt):
+        for d, layer in enumerate(self._layers(root)):
+            for v in _mask_bits(layer):
                 depths[v] = d
-            seen |= nxt
-            frontier = nxt
         return depths
 
     def component_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        frontier = 1 << v
-        seen = frontier
-        while frontier:
-            nxt = 0
-            for w in _mask_bits(frontier):
-                nxt |= self._adj[w]
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen
+        return sum(self._layers(v))  # the layers are disjoint, so their sum is their union
 
     def is_connected(self) -> bool:
         return self.component_mask(0).bit_count() == self.n
@@ -250,13 +254,7 @@ class Graph:
 def greedy_maximal_independent_set(g: Graph, within: VertexSet | None = None) -> VertexSet:
     """Lowest-index-first maximal independent subset of `within` (or V)."""
     allowed = within.mask if within is not None else (1 << g.n) - 1
-    chosen = 0
-    blocked = ~allowed
-    for v in range(g.n):
-        if not (blocked >> v) & 1:
-            chosen |= 1 << v
-            blocked |= g._adj[v] | (1 << v)
-    return VertexSet.from_mask(g.n, chosen)
+    return VertexSet.from_mask(g.n, _first_fit(g.closed_masks, allowed))
 
 
 # -- validity predicates -----------------------------------------------------

@@ -8,8 +8,12 @@ also keeps a greedy h-extremal elimination from blocking), in polynomial time.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 from .errors import GraphError
-from .graph import Graph, VertexSet, _mask_bits
+from .graph import Graph, VertexSet, _mask_bits, _square_mask
+
 
 def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and g.is_connected()
@@ -43,9 +47,7 @@ def _square_cliques(
     """
     second = [0] * len(adj)
     for v in _mask_bits(active):
-        for u in _mask_bits((adj[v] & active) | (1 << v)):
-            second[v] |= adj[u] | (1 << u)
-        second[v] &= active
+        second[v] = _square_mask(adj, active, v)
 
     weight = [0] * len(adj)
     unvisited = active
@@ -105,9 +107,7 @@ def _least_module(adj: tuple[int, ...], active: int, s: int, bound: int) -> int:
 def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
     """The witness of `find_h_extremal_witness` in g[active] as a mask, or 0."""
     closed_v = (adj[v] & active) | (1 << v)
-    second = closed_v
-    for u in _mask_bits(closed_v):
-        second |= adj[u]
+    second = _square_mask(adj, active, v)
     left = closed_v
     while left:
         module = left & -left
@@ -118,7 +118,7 @@ def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
         covered = module
         for x in _mask_bits(module):
             covered |= adj[x]
-        if second & active & ~covered == 0:
+        if second & ~covered == 0:
             return module
     return 0
 
@@ -137,6 +137,22 @@ def find_h_extremal_witness(g: Graph, v: int) -> VertexSet | None:
     return VertexSet.from_mask(g.n, dmask) if dmask else None
 
 
+def _eliminate(n: int, takes: Callable[[int, int], object]) -> tuple[int, ...] | None:
+    """Remove the lowest vertex v with takes(active, v) from the active mask
+    until none is left; the removal order, or None once no vertex qualifies."""
+    active = (1 << n) - 1
+    perm = []
+    while active:
+        for v in _mask_bits(active):
+            if takes(active, v):
+                break
+        else:
+            return None
+        perm.append(v)
+        active &= ~(1 << v)
+    return tuple(perm)
+
+
 def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
     """A homogeneous ordering of g, or None when g has none; polynomial time.
 
@@ -149,18 +165,11 @@ def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
     the 814 homogeneously orderable graphs on <= 7 vertices.
     """
     adj = g._adj
-    active = (1 << g.n) - 1
-    perm = []
-    while active:
-        for v in _mask_bits(active):
-            rest = active & ~(1 << v)
-            if _h_extremal(adj, active, v) and _passes_characterisation(adj, rest):
-                break
-        else:
-            return None
-        perm.append(v)
-        active = rest
-    return tuple(perm)
+    return _eliminate(
+        g.n,
+        lambda active, v: _h_extremal(adj, active, v)
+        and _passes_characterisation(adj, active & ~(1 << v)),
+    )
 
 
 def _is_simple_vertex(adj: tuple[int, ...], active: int, v: int) -> bool:
@@ -179,18 +188,7 @@ def find_simple_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
     Strongly chordal graphs are closed under induced subgraphs and always
     contain a simple vertex, so removing any simple vertex never gets stuck.
     """
-    adj = g._adj
-    active = (1 << g.n) - 1
-    perm = []
-    while active:
-        for v in _mask_bits(active):
-            if _is_simple_vertex(adj, active, v):
-                perm.append(v)
-                active &= ~(1 << v)
-                break
-        else:
-            return None
-    return tuple(perm)
+    return _eliminate(g.n, functools.partial(_is_simple_vertex, g._adj))
 
 
 def validate_simple_elimination_ordering(g: Graph, ordering: tuple[int, ...]) -> bool:

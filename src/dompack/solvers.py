@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, _mask_bits
+from .graph import Graph, VertexSet, _first_fit, _mask_bits
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,6 @@ def _greedy_cover(n: int, closed: tuple[int, ...], covered: int) -> tuple[int, .
                 best_v = v
         chosen.append(best_v)
         covered |= closed[best_v]
-    return tuple(chosen)
-
-
-def _greedy_packing(second: tuple[int, ...], eligible: int) -> tuple[int, ...]:
-    """First-fit packing on the eligible mask (ascending vertex index)."""
-    chosen = []
-    avail = eligible
-    while avail:
-        v = (avail & -avail).bit_length() - 1
-        chosen.append(v)
-        avail &= ~second[v]
     return tuple(chosen)
 
 
@@ -83,17 +72,6 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
     nodes = 0
     chosen: list[int] = []
 
-    def packing_lower_bound(uncovered: int) -> int:
-        # Uncovered vertices with pairwise disjoint closed neighborhoods each
-        # need their own dominator.
-        cnt = 0
-        avail = uncovered
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            cnt += 1
-            avail &= ~second[v]
-        return cnt
-
     def dfs(covered: int, size: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
@@ -103,7 +81,9 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
                 best_set = tuple(chosen)
             return
         uncovered = full & ~covered
-        if size + packing_lower_bound(uncovered) >= best_size:
+        # Uncovered vertices with pairwise disjoint closed neighborhoods each
+        # need their own dominator.
+        if size + _first_fit(second, uncovered).bit_count() >= best_size:
             return
         v = next(v for v in by_degree if (uncovered >> v) & 1)
         gains = [(u, closed[u] & uncovered) for u in _mask_bits(closed[v])]
@@ -138,7 +118,7 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
     second = g.second_masks
     eligible0 = ((1 << n) - 1) & ~(x.mask if x is not None else 0)
 
-    incumbent = _greedy_packing(second, eligible0)
+    incumbent = tuple(_mask_bits(_first_fit(second, eligible0)))
     best_size = len(incumbent)
     best_set = incumbent
     nodes = 0

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -79,8 +80,10 @@ def test_usage_error_keeps_the_records_already_written(capsys, tmp_path, fmt, li
 
 def test_compute_parse_failure(capsys, tmp_path):
     path = tmp_path / "bad.g6"
-    path.write_text("C\n")
-    assert main(["compute", str(path)]) == 2
+    for text in ("C", '{"n": 2, "edges": 5}'):
+        path.write_text(text + "\n")
+        assert main(["compute", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -105,6 +108,14 @@ def test_compute_parse_failure(capsys, tmp_path):
         ["compute", "-", "--out", "missing-dir/out.json"],
         ["compute", "binary.dat"],
         ["DOMPACK_SEED=abc", "verify", "--class", "tree"],
+        ["verify", "--class", "tree", "--count", "-3"],
+        ["lemmacheck", "--lemma", "triangulate", "--count", "-2"],
+        ["verify", "--class", "planar", "--x-samples", "-1"],
+        ["verify", "--class", "planar", "--x-prob", "7"],
+        ["verify", "--class", "planar", "--x-prob", "-0.5"],
+        ["verify", "--class", "tree", "--jobs", "-4"],
+        ["verify", "--class", "tree", "--jobs", "0"],
+        ["search", "--iterations", "-5"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
@@ -117,7 +128,7 @@ def test_bad_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    if argv[0] in ("verify", "lemmacheck"):
+    if argv[0] in ("verify", "lemmacheck") and "--count" not in argv:
         argv = argv + ["--count", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -450,3 +461,42 @@ def test_stdin_edge_json(src_env):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.splitlines()[0])["gamma"] == 2
+
+
+CLASSES = (
+    "tree", "strongly-chordal", "chordal-bipartite", "homogeneously-orderable",
+    "planar", "rook", "any",
+)
+PINNED_RUNS = (
+    [["compute", "graphs.g6", "--fractional"], ["compute", "graphs.g6", "--x-set", "0"]]
+    + [["construct", "--class", cls, "graphs.g6"] for cls in CLASSES[:4]]
+    + [["verify", "--class", cls, "--count", "10", "--seed", "3"] for cls in CLASSES]
+    + [
+        ["lemmacheck", "--lemma", lemma, "--count", "10", "--seed", "2"]
+        for lemma in ("triangulate", "discharge", "charge-audit")
+    ]
+    + [["search", "--target", "2", "--n", "10", "--seed", "1"]]
+)
+# sha256 of PINNED_RUNS' exit codes and JSON output, wall_time stripped: any
+# change to an answer, witness, ordering, field or exit status shows here.
+PINNED_OUTPUT_SHA256 = "f7dc362906afc95f67e9c8b314d18a4c9ce171ac8477a7996388104e0f3d4a7b"
+
+
+def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
+    from dompack.generators import all_graphs, all_trees
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DOMPACK_SEED", raising=False)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += [t for n in range(1, 11) for t in all_trees(n)]
+    assert len(graphs) == 409
+    (tmp_path / "graphs.g6").write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    digest = hashlib.sha256()
+    for argv in PINNED_RUNS:
+        argv = argv + ["--format", "json"]
+        code, out = run_cli(capsys, *argv)
+        lines = [json.loads(line) for line in out.splitlines()]
+        for rec in lines:
+            rec.pop("wall_time", None)
+        digest.update(json.dumps([argv, code, lines], sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256

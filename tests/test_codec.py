@@ -93,6 +93,12 @@ def test_edge_json_rejects_non_simple():
         parse_edge_json('{"edges": []}')
     with pytest.raises(ParseError):
         parse_edge_json("{not json")
+    with pytest.raises(ParseError):
+        parse_edge_json('{"n": true, "edges": []}')
+    with pytest.raises(ParseError):
+        parse_edge_json('{"n": 2, "edges": [[true, false]]}')
+    with pytest.raises(ParseError):
+        parse_edge_json('{"n": 2, "edges": 5}')
 
 
 def test_parse_graph_sniffs_format():
