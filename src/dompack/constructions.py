@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ConstructionError, GraphError
-from .graph import Graph, VertexSet, _mask_bits, is_dominating, is_packing
+from .graph import Graph, VertexSet, _layers, _mask_bits, is_dominating, is_packing
 from .recognition import (
     _square_cliques,
     bipartition,
@@ -67,33 +67,23 @@ def _finalize(g: Graph, cert: DomPackCertificate) -> DomPackCertificate:
 def tree_dompack(t: Graph, root: int) -> DomPackCertificate:
     """Equal-size dominating set and packing on a tree (gamma = rho).
 
-    Vertices are processed deepest-first from the root; each one joins P when
-    it keeps all pairwise distances >= 3, and D is the parent image of P with
-    parent(root) = root.
+    The BFS layers from the root are walked deepest first; each vertex joins
+    P when it keeps all pairwise distances >= 3, and its dominator in D is
+    its one neighbour in the layer above, or the vertex itself at the root.
     """
     if not is_tree(t):
         raise GraphError("tree_dompack requires a tree")
     t._check_vertex(root)
-    depths = t.bfs_depths(root)
-    parent = [root] * t.n
-    for v in sorted(range(t.n), key=lambda v: depths[v]):
-        if v == root:
-            continue
-        for u in _mask_bits(t.adjacency_mask(v)):
-            if depths[u] == depths[v] - 1:
-                parent[v] = u
-                break
-    order = sorted(range(t.n), key=lambda v: (-depths[v], v))
-    second = t.second_masks
-    p_mask = 0
-    blocked = 0
-    for v in order:
-        if not (blocked >> v) & 1:
-            p_mask |= 1 << v
-            blocked |= second[v]
-    d_mask = 0
-    for v in _mask_bits(p_mask):
-        d_mask |= 1 << parent[v]
+    layers = list(_layers(t._adj, root))
+    closed, second = t.closed_masks, t.second_masks
+    p_mask = d_mask = blocked = 0
+    for depth in reversed(range(len(layers))):
+        above = layers[max(depth - 1, 0)]
+        for v in _mask_bits(layers[depth]):
+            if not (blocked >> v) & 1:
+                p_mask |= 1 << v
+                blocked |= second[v]
+                d_mask |= closed[v] & above
     cert = DomPackCertificate(
         VertexSet.from_mask(t.n, d_mask),
         VertexSet.from_mask(t.n, p_mask),

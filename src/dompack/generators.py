@@ -9,7 +9,7 @@ splitmix64-style mix of (master seed, instance index).
 
 from __future__ import annotations
 
-import json
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -40,17 +40,6 @@ class GenSpec:
     seed: int
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family, "n": self.n, "seed": self.seed, "params": self.params},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> GenSpec:
-        obj = json.loads(text)
-        return cls(obj["family"], obj["n"], obj["seed"], obj.get("params", {}))
-
 
 def gen_tree(spec: GenSpec) -> Graph:
     """Uniform random labeled tree via Prufer-sequence decode."""
@@ -59,16 +48,12 @@ def gen_tree(spec: GenSpec) -> Graph:
         raise GraphError("trees need n >= 1")
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = random.Random(spec.seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:
@@ -106,6 +91,9 @@ def gen_interval(spec: GenSpec) -> Graph:
     return g
 
 
+_CB_ATTEMPTS = 2000  # rejection-sampling attempts per chordal bipartite instance
+
+
 def gen_chordal_bipartite(spec: GenSpec) -> Graph:
     g, _ = gen_chordal_bipartite_with_stats(spec)
     return g
@@ -118,8 +106,7 @@ def gen_chordal_bipartite_with_stats(spec: GenSpec) -> tuple[Graph, int]:
     if not 2 <= n <= 16:
         raise GraphError("chordal bipartite sampling is capped at 2 <= n <= 16")
     p = spec.params.get("edge_prob", 0.3)
-    budget = spec.params.get("budget", 2000)
-    for attempt in range(1, budget + 1):
+    for attempt in range(1, _CB_ATTEMPTS + 1):
         rng = random.Random(derive_seed(spec.seed, attempt))
         na = n // 2
         edges = [
@@ -131,7 +118,7 @@ def gen_chordal_bipartite_with_stats(spec: GenSpec) -> tuple[Graph, int]:
         g = Graph(n, edges)
         if is_chordal_bipartite(g):
             return g, attempt
-    raise GenerationBudgetError(f"no chordal bipartite instance in {budget} attempts")
+    raise GenerationBudgetError(f"no chordal bipartite instance in {_CB_ATTEMPTS} attempts")
 
 
 def gen_distance_hereditary(spec: GenSpec) -> Graph:
@@ -143,15 +130,12 @@ def gen_distance_hereditary(spec: GenSpec) -> Graph:
     n = spec.n
     if n < 1:
         raise GraphError("distance-hereditary growth needs n >= 1")
-    ops = tuple(spec.params.get("ops", ("pendant", "true-twin", "false-twin")))
-    if not ops or any(op not in ("pendant", "true-twin", "false-twin") for op in ops):
-        raise GraphError(f"unknown growth ops {ops!r}")
     rng = random.Random(derive_seed(spec.seed, 1))
     edges: list[tuple[int, int]] = []
     adj: list[set[int]] = [set()]
     for new in range(1, n):
         target = rng.randrange(new)
-        op = rng.choice(ops)
+        op = rng.choice(("pendant", "true-twin", "false-twin"))
         if op == "pendant":
             nbrs = {target}
         elif op == "true-twin":
@@ -346,11 +330,6 @@ def all_trees(n: int) -> list[Graph]:
     return [Graph(n, edges) for _, edges in sorted(level.items())]
 
 
-def _pair_index(i: int, j: int) -> int:
-    # Column-major upper triangle, matching the graph6 bit order.
-    return j * (j - 1) // 2 + i
-
-
 def _canonical_mask(mask: int, n: int) -> int:
     """Minimum pair-mask over all n! vertex relabelings: the canonical form of
     `all_graphs`, which calls it for n <= 7 (exact for any n).
@@ -380,10 +359,11 @@ def _canonical_mask(mask: int, n: int) -> int:
 
 
 def _mask_to_graph(mask: int, n: int) -> Graph:
+    # Pair (i, j), i < j, is bit j(j-1)/2 + i: column-major, the graph6 bit order.
     edges = []
     for j in range(1, n):
         for i in range(j):
-            if (mask >> _pair_index(i, j)) & 1:
+            if (mask >> (j * (j - 1) // 2 + i)) & 1:
                 edges.append((i, j))
     return Graph(n, edges)
 
@@ -391,8 +371,8 @@ def _mask_to_graph(mask: int, n: int) -> Graph:
 def all_graphs(n: int) -> list[Graph]:
     """All non-isomorphic simple graphs on n vertices, capped at n <= 7.
 
-    Level k graphs come from attaching a new vertex to every level k-1
-    representative with every possible neighborhood, then deduplicating by
+    Level k graphs come from attaching a new vertex of maximum degree to every
+    level k-1 representative in every possible way, then deduplicating by
     the canonical form `_canonical_mask`: the minimum pair-mask (edge i < j at
     bit j(j-1)/2 + i) over all vertex relabelings.  Each representative is the
     graph of its canonical mask, returned in increasing mask order.
@@ -404,11 +384,13 @@ def all_graphs(n: int) -> list[Graph]:
         prev_pairs = (size - 1) * (size - 2) // 2
         nxt = set()
         for mask in masks:
+            # Deleting a vertex of maximum degree d leaves a graph of maximum
+            # degree <= d, so every graph on `size` vertices is some
+            # representative grown by a neighbourhood of at least its maximum
+            # degree: smaller subsets only repeat classes found anyway.
+            top = _mask_to_graph(mask, size - 1).max_degree()
             for subset in range(1 << (size - 1)):
-                grown = mask
-                for i in range(size - 1):
-                    if (subset >> i) & 1:
-                        grown |= 1 << (prev_pairs + i)
-                nxt.add(_canonical_mask(grown, size))
+                if subset.bit_count() >= top:
+                    nxt.add(_canonical_mask(mask | subset << prev_pairs, size))
         masks = nxt
     return [_mask_to_graph(mask, n) for mask in sorted(masks)]

@@ -9,7 +9,7 @@ keeps the solver hot loops cheap.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import GraphError, VertexRangeError
 
@@ -29,6 +29,18 @@ def _square_mask(adj: tuple[int, ...], active: int, v: int) -> int:
     for u in _mask_bits((adj[v] & active) | mask):
         mask |= adj[u]
     return mask & active
+
+
+def _layers(adj: Sequence[int], root: int) -> Iterator[int]:
+    """Breadth-first layers from root as masks: {root}, then each next distance."""
+    layer = seen = 1 << root
+    while layer:
+        yield layer
+        nxt = 0
+        for v in _mask_bits(layer):
+            nxt |= adj[v]
+        layer = nxt & ~seen
+        seen |= layer
 
 
 def _first_fit(masks: tuple[int, ...], allowed: int) -> int:
@@ -202,28 +214,18 @@ class Graph:
         self._check_vertex(v)
         return VertexSet.from_mask(self.n, self.second_masks[v])
 
-    def _layers(self, root: int) -> Iterator[int]:
-        """Breadth-first layers from root as masks: {root}, then each next distance."""
-        self._check_vertex(root)
-        layer = seen = 1 << root
-        while layer:
-            yield layer
-            nxt = 0
-            for v in _mask_bits(layer):
-                nxt |= self._adj[v]
-            layer = nxt & ~seen
-            seen |= layer
-
     def bfs_depths(self, root: int) -> list[float]:
         """Distance from root per vertex; math.inf for unreachable vertices."""
+        self._check_vertex(root)
         depths: list[float] = [math.inf] * self.n
-        for d, layer in enumerate(self._layers(root)):
+        for d, layer in enumerate(_layers(self._adj, root)):
             for v in _mask_bits(layer):
                 depths[v] = d
         return depths
 
     def component_mask(self, v: int) -> int:
-        return sum(self._layers(v))  # the layers are disjoint, so their sum is their union
+        self._check_vertex(v)
+        return sum(_layers(self._adj, v))  # the layers are disjoint, so their sum is their union
 
     def is_connected(self) -> bool:
         return self.component_mask(0).bit_count() == self.n

@@ -26,7 +26,7 @@ from .errors import (
     GraphError,
     PreconditionError,
 )
-from .graph import Graph, VertexSet, _mask_bits
+from .graph import Graph, VertexSet, _layers, _mask_bits
 
 
 class TriangulationBlocked(DompackError, RuntimeError):
@@ -118,21 +118,15 @@ class PlanarEmbedding:
         return tuple(faces)
 
     def _component_count(self) -> int:
-        seen = [False] * self.n
+        adj = [0] * self.n  # parallel edges set the same bit
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
+        left = (1 << self.n) - 1
+        while left:
+            left &= ~sum(_layers(adj, (left & -left).bit_length() - 1))
             count += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                for d in self.rotation[v]:
-                    w = self.head(d)
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
         return count
 
     # -- views ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import functools
 from collections.abc import Callable
 
 from .errors import GraphError
-from .graph import Graph, VertexSet, _mask_bits, _square_mask
+from .graph import Graph, VertexSet, _layers, _mask_bits, _square_mask
 
 
 def is_tree(g: Graph) -> bool:
@@ -23,14 +23,7 @@ def _join_side(adj: tuple[int, ...], u: int) -> int:
     """The co-component of U's lowest vertex: the complement of g[U] grown
     from it.  It is a proper subset of U exactly when U = U_1 join U_2 with
     this side as U_1; every member of it is adjacent to all of the rest."""
-    side = frontier = u & -u
-    while frontier:
-        grow = 0
-        for x in _mask_bits(frontier):
-            grow |= u & ~adj[x]
-        frontier = grow & ~side
-        side |= frontier
-    return side
+    return sum(_layers([u & ~a for a in adj], (u & -u).bit_length() - 1))
 
 
 def _square_cliques(
@@ -203,22 +196,20 @@ def validate_simple_elimination_ordering(g: Graph, ordering: tuple[int, ...]) ->
 
 
 def bipartition(g: Graph) -> tuple[VertexSet, VertexSet]:
-    """BFS 2-coloring; side A holds the lowest-index vertex of each component."""
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in _mask_bits(g.adjacency_mask(u)):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise GraphError("graph is not bipartite (odd cycle found)")
-    side_a = VertexSet(g.n, [v for v in range(g.n) if color[v] == 0])
+    """2-coloring: side A is the even BFS layers from each component's lowest
+    vertex.  An edge inside one layer closes an odd cycle, and without one the
+    layer parity is a proper coloring."""
+    adj = g._adj
+    even = 0
+    left = (1 << g.n) - 1
+    while left:
+        for depth, layer in enumerate(_layers(adj, (left & -left).bit_length() - 1)):
+            if any(adj[v] & layer for v in _mask_bits(layer)):
+                raise GraphError("graph is not bipartite (odd cycle found)")
+            if depth % 2 == 0:
+                even |= layer
+            left &= ~layer
+    side_a = VertexSet.from_mask(g.n, even)
     return side_a, side_a.complement()
 
 

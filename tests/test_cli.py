@@ -176,7 +176,7 @@ def test_verify_records_replay(capsys):
     )
     records, _ = json_records(out)
     for rec in records:
-        spec = GenSpec.from_json(json.dumps(rec["genspec"]))
+        spec = GenSpec(**rec["genspec"])
         assert emit_graph6(generate(spec)) == rec["graph6"]
 
 

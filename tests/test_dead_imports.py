@@ -32,3 +32,58 @@ def test_no_module_imports_a_name_it_never_uses(path):
     # A name kept alive only as an import would also keep a traced name in
     # perfbench/spans.py resolving after its last call is gone.
     assert unused_imports(path.read_text()) == []
+
+
+def bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [leaf.id for t in targets for leaf in ast.walk(t) if isinstance(leaf, ast.Name)]
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private `_name` definitions that no source in `sources` reads: module
+    level functions, classes and constants (read as a bare name) and the
+    methods of module-level classes (read as an attribute)."""
+    defined, names, attributes = [], set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            defined += [(f"{module}.{name}", name, names) for name in bound_names(node)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{item.name}", item.name, attributes)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return sorted(
+        label
+        for label, name, reads in defined
+        if name.startswith("_") and not name.startswith("__") and name not in reads
+    )
+
+
+def test_guard_sees_a_dead_private_definition():
+    sources = {
+        "a": "_LIMIT = 3\n_unused: int = 0\ndef _helper(): return _LIMIT\n"
+        "class C:\n    def _old(self): pass\n    def _kept(self): pass\n",
+        "b": "from a import _helper\n_helper()\nC()._kept()\n",
+    }
+    assert dead_private_definitions(sources) == ["a.C._old", "a._unused"]
+
+
+def test_no_private_definition_goes_unread():
+    # A kernel replaced by a shared one must leave no uncalled copy behind.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_private_definitions(sources) == []

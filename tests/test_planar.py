@@ -325,6 +325,15 @@ def test_embedding_validation_rejects_nonplanar():
         PlanarEmbedding(4, edges, rot_twisted)
 
 
+def test_embedding_euler_check_counts_components():
+    # Two triangles, an isolated vertex and a doubled edge: four components,
+    # so n - m + f + isolated = 9 - 8 + 6 + 1 = 2 * 4.
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (7, 8), (7, 8)]
+    rotation = [[0, 5], [1, 2], [3, 4], [6, 11], [7, 8], [9, 10], [], [12, 14], [13, 15]]
+    emb = PlanarEmbedding(9, edges, rotation)
+    assert len(emb.faces) == 6
+
+
 def test_embedding_rejects_malformed():
     with pytest.raises(EmbeddingError):
         PlanarEmbedding(2, [(0, 1)], [[0], []])  # dart 1 missing

@@ -229,6 +229,15 @@ def test_chordal_bipartite_against_direct_definition():
         assert via_a == via_b == (not has_long_chordless_cycle(g))
 
 
+def test_bipartition_sides_on_a_disconnected_graph():
+    # Side A is each component's lowest vertex plus everything at even
+    # distance from it: the path 0-1-2, the isolated 3, the path 4-6-5.
+    g = Graph(7, [(0, 1), (1, 2), (4, 6), (6, 5)])
+    a, b = bipartition(g)
+    assert a == VertexSet(7, [0, 2, 3, 4, 5])
+    assert b == VertexSet(7, [1, 6])
+
+
 def test_bipartition_rejects_odd_cycles():
     with pytest.raises(GraphError):
         bipartition(gen_named("C5"))
