@@ -232,7 +232,11 @@ def is_chordal_bipartite(g: Graph) -> bool:
     """Bipartite g with every cycle of length >= 6 chorded.
 
     Recognized through the split lemma: g is chordal bipartite iff completing
-    one side into a clique yields a strongly chordal graph.
+    one side into a clique yields a strongly chordal graph.  A graph with an
+    odd cycle is not bipartite, so it gets False.
     """
-    side_a, _ = bipartition(g)
+    try:
+        side_a, _ = bipartition(g)
+    except GraphError:
+        return False
     return find_simple_elimination_ordering(split_clique(g, side_a)) is not None

@@ -241,5 +241,7 @@ def test_bipartition_sides_on_a_disconnected_graph():
 def test_bipartition_rejects_odd_cycles():
     with pytest.raises(GraphError):
         bipartition(gen_named("C5"))
-    with pytest.raises(GraphError):
-        is_chordal_bipartite(gen_named("K4"))
+    # the recognizer is a predicate: an odd cycle anywhere means False
+    assert not is_chordal_bipartite(gen_named("K4"))
+    assert not is_chordal_bipartite(gen_named("C5"))
+    assert not is_chordal_bipartite(Graph(5, [(0, 1), (2, 3), (3, 4), (4, 2)]))
