@@ -351,6 +351,7 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     cls = args.cls
+    _in_range("--root", args.root, 0)
     out = _Output(args)
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()

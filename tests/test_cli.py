@@ -116,6 +116,7 @@ def test_compute_parse_failure(capsys, tmp_path):
         ["verify", "--class", "tree", "--jobs", "-4"],
         ["verify", "--class", "tree", "--jobs", "0"],
         ["search", "--iterations", "-5"],
+        ["construct", "--class", "tree", "-", "--root", "-1"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
