@@ -22,6 +22,7 @@ import os
 import random
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import repeat
 
@@ -163,7 +164,13 @@ def _open_out(path: str | None):
         raise DompackError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _read_graphs(path: str) -> list[Graph]:
+def _read_graphs(path: str) -> Iterator[Graph]:
+    """The graphs of `path` ("-" for stdin), one per graph6 or JSON line.
+
+    Each line is parsed only when the caller asks for its graph, so the
+    records made before a malformed line stay written.  Input with no graph
+    is an error once it is used up.
+    """
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -174,14 +181,14 @@ def _read_graphs(path: str) -> list[Graph]:
         raise DompackError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise DompackError(f"cannot read {path}: not a text file") from None
-    graphs = []
+    found = False
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            graphs.append(codec.parse_graph(line))
-    if not graphs:
+            found = True
+            yield codec.parse_graph(line)
+    if not found:
         raise DompackError("no graphs found in input")
-    return graphs
 
 
 def _parse_x_set(text: str, g: Graph) -> VertexSet:
@@ -223,7 +230,7 @@ def cmd_compute(args) -> int:
         rho = exact_packing(g)
         fields = {}
         if args.fractional:
-            report = verify_sandwich(g, gamma=gamma.value, rho=rho.value)
+            report = verify_sandwich(g, gamma=gamma, rho=rho)
             fields.update(gamma_f=report.gamma_f, passed=report.holds)
         if args.x_set:
             x = _parse_x_set(args.x_set, g)

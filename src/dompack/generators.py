@@ -9,6 +9,7 @@ splitmix64-style mix of (master seed, instance index).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -307,27 +308,33 @@ def _tree_canonical(n: int, adj: list[set[int]]) -> tuple:
 
 
 def all_trees(n: int) -> list[Graph]:
-    """All non-isomorphic trees on n vertices (canonical-form dedup).
+    """All non-isomorphic trees on n vertices (canonical-form dedup), in
+    canonical-form order.
 
-    Built by attaching one leaf in every way to every tree on n-1 vertices.
+    Built by attaching one leaf in every way to every tree on n-1 vertices;
+    each level is built once per process.
     """
     if n < 1:
         raise GraphError("trees need n >= 1")
-    level: dict[tuple, list[tuple[int, int]]] = {((),): []}
-    for size in range(2, n + 1):
-        nxt: dict[tuple, list[tuple[int, int]]] = {}
-        for edges in level.values():
-            for v in range(size - 1):
-                cand = edges + [(v, size - 1)]
-                adj: list[set[int]] = [set() for _ in range(size)]
-                for a, b in cand:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                key = _tree_canonical(size, adj)
-                if key not in nxt:
-                    nxt[key] = cand
-        level = nxt
-    return [Graph(n, edges) for _, edges in sorted(level.items())]
+    return [Graph(n, edges) for edges in _tree_level(n)[1]]
+
+
+@functools.cache
+def _tree_level(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """The edge lists of the trees on n vertices twice: in the order they were
+    first found, which level n + 1 extends, and in canonical-form order."""
+    if n == 1:
+        return ((),), ((),)
+    found: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    for edges in _tree_level(n - 1)[0]:
+        for v in range(n - 1):
+            cand = edges + ((v, n - 1),)
+            adj: list[set[int]] = [set() for _ in range(n)]
+            for a, b in cand:
+                adj[a].add(b)
+                adj[b].add(a)
+            found.setdefault(_tree_canonical(n, adj), cand)
+    return tuple(found.values()), tuple(found[key] for key in sorted(found))
 
 
 def _canonical_mask(mask: int, n: int) -> int:
@@ -375,22 +382,28 @@ def all_graphs(n: int) -> list[Graph]:
     level k-1 representative in every possible way, then deduplicating by
     the canonical form `_canonical_mask`: the minimum pair-mask (edge i < j at
     bit j(j-1)/2 + i) over all vertex relabelings.  Each representative is the
-    graph of its canonical mask, returned in increasing mask order.
+    graph of its canonical mask, returned in increasing mask order.  Each
+    level is built once per process.
     """
     if not 1 <= n <= 7:
         raise GraphError("exhaustive graph enumeration is capped at n <= 7")
-    masks = {0}
-    for size in range(2, n + 1):
-        prev_pairs = (size - 1) * (size - 2) // 2
-        nxt = set()
-        for mask in masks:
-            # Deleting a vertex of maximum degree d leaves a graph of maximum
-            # degree <= d, so every graph on `size` vertices is some
-            # representative grown by a neighbourhood of at least its maximum
-            # degree: smaller subsets only repeat classes found anyway.
-            top = _mask_to_graph(mask, size - 1).max_degree()
-            for subset in range(1 << (size - 1)):
-                if subset.bit_count() >= top:
-                    nxt.add(_canonical_mask(mask | subset << prev_pairs, size))
-        masks = nxt
-    return [_mask_to_graph(mask, n) for mask in sorted(masks)]
+    return [_mask_to_graph(mask, n) for mask in _graph_level(n)]
+
+
+@functools.cache
+def _graph_level(n: int) -> tuple[int, ...]:
+    """The canonical masks of the graphs on n vertices, in increasing order."""
+    if n == 1:
+        return (0,)
+    prev_pairs = (n - 1) * (n - 2) // 2
+    masks = set()
+    for mask in _graph_level(n - 1):
+        # Deleting a vertex of maximum degree d leaves a graph of maximum
+        # degree <= d, so every graph on n vertices is some representative
+        # grown by a neighbourhood of at least its maximum degree: smaller
+        # subsets only repeat classes found anyway.
+        top = _mask_to_graph(mask, n - 1).max_degree()
+        for subset in range(1 << (n - 1)):
+            if subset.bit_count() >= top:
+                masks.add(_canonical_mask(mask | subset << prev_pairs, n))
+    return tuple(sorted(masks))

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DompackError
-from .graph import Graph
-from .solvers import exact_domination, exact_packing
+from .graph import Graph, is_dominating, is_packing
+from .solvers import SolveResult, exact_domination, exact_packing
 
 
 class LpError(DompackError, RuntimeError):
@@ -182,20 +182,32 @@ class SandwichReport:
 
 
 def verify_sandwich(
-    g: Graph, *, gamma: int | None = None, rho: int | None = None
+    g: Graph, *, gamma: SolveResult | None = None, rho: SolveResult | None = None
 ) -> SandwichReport:
     """Compute rho <= rho_f = gamma_f <= gamma with exact arithmetic.
 
-    `gamma` and `rho` are solved exactly unless the caller already knows them.
+    `gamma` and `rho` are the results of `exact_domination` and
+    `exact_packing`, solved here unless the caller already has them.  A
+    dominating set D and a packing P with |D| = |P| = k prove
+    k <= rho <= rho_f = gamma_f <= gamma <= k, so when both witnesses check
+    and meet, gamma_f = k and the simplex does not run.  Otherwise, invalid
+    witnesses included, gamma_f comes from `fractional_domination`.
     """
-    sol = fractional_domination(g)
-    return SandwichReport(
-        rho=exact_packing(g).value if rho is None else rho,
+    if gamma is None:
+        gamma = exact_domination(g)
+    if rho is None:
+        rho = exact_packing(g)
+    k = gamma.value
+    if (
+        rho.value == k == len(gamma.witness) == len(rho.witness)
+        and is_dominating(g, gamma.witness)
+        and is_packing(g, rho.witness)
+    ):
+        gamma_f = Fraction(k)
+    else:
         # fractional_domination checked sum(y) == sum(x) == value.
-        rho_f=sol.value,
-        gamma_f=sol.value,
-        gamma=exact_domination(g).value if gamma is None else gamma,
-    )
+        gamma_f = fractional_domination(g).value
+    return SandwichReport(rho=rho.value, rho_f=gamma_f, gamma_f=gamma_f, gamma=k)
 
 
 def harmonic(k: int) -> Fraction:

@@ -8,7 +8,6 @@ also keeps a greedy h-extremal elimination from blocking), in polynomial time.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 
 from .errors import GraphError
@@ -130,18 +129,34 @@ def find_h_extremal_witness(g: Graph, v: int) -> VertexSet | None:
     return VertexSet.from_mask(g.n, dmask) if dmask else None
 
 
-def _eliminate(n: int, takes: Callable[[int, int], object]) -> tuple[int, ...] | None:
-    """Remove the lowest vertex v with takes(active, v) from the active mask
-    until none is left; the removal order, or None once no vertex qualifies."""
-    active = (1 << n) - 1
+def _eliminate(
+    adj: tuple[int, ...],
+    local: Callable[[tuple[int, ...], int, int], object],
+    whole: Callable[[tuple[int, ...], int], bool] | None = None,
+) -> tuple[int, ...] | None:
+    """Remove the lowest vertex v that passes local(adj, active, v) and, when
+    given, whole(adj, active - v), until none is left; the removal order, or
+    None once no vertex qualifies.
+
+    local(adj, active, v) must depend only on g[active] within distance 2 of
+    v, so its result is kept until a vertex within distance 2 of v goes:
+    removing v marks only N^2[v] for a re-test.  `whole` runs on every try.
+    """
+    active = (1 << len(adj)) - 1
+    stale = active  # vertices whose kept local result is out of date
+    passes = [False] * len(adj)
     perm = []
     while active:
         for v in _mask_bits(active):
-            if takes(active, v):
+            if (stale >> v) & 1:
+                passes[v] = bool(local(adj, active, v))
+                stale &= ~(1 << v)
+            if passes[v] and (whole is None or whole(adj, active & ~(1 << v))):
                 break
         else:
             return None
         perm.append(v)
+        stale |= _square_mask(adj, active, v)
         active &= ~(1 << v)
     return tuple(perm)
 
@@ -157,12 +172,7 @@ def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
     greedy never blocks on a member.  Without the lookahead it strands 35 of
     the 814 homogeneously orderable graphs on <= 7 vertices.
     """
-    adj = g._adj
-    return _eliminate(
-        g.n,
-        lambda active, v: _h_extremal(adj, active, v)
-        and _passes_characterisation(adj, active & ~(1 << v)),
-    )
+    return _eliminate(g._adj, _h_extremal, _passes_characterisation)
 
 
 def _is_simple_vertex(adj: tuple[int, ...], active: int, v: int) -> bool:
@@ -181,7 +191,7 @@ def find_simple_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
     Strongly chordal graphs are closed under induced subgraphs and always
     contain a simple vertex, so removing any simple vertex never gets stuck.
     """
-    return _eliminate(g.n, functools.partial(_is_simple_vertex, g._adj))
+    return _eliminate(g._adj, _is_simple_vertex)
 
 
 def validate_simple_elimination_ordering(g: Graph, ordering: tuple[int, ...]) -> bool:

@@ -86,6 +86,29 @@ def test_compute_parse_failure(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["compute", "--fractional"], ["construct", "--class", "tree"]])
+def test_malformed_line_keeps_the_records_before_it(capsys, tmp_path, command):
+    # Input is parsed line by line as it is solved: the good first line gets
+    # its record, the malformed second one ends the run with exit 2.
+    path = tmp_path / "in.txt"
+    path.write_text(emit_graph6(gen_named("P4")) + "\nC\n" + emit_graph6(gen_named("P7")) + "\n")
+    code = main([command[0], str(path), *command[1:], "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    out = captured.out.splitlines()
+    assert len(out) == 1 and "summary" not in captured.out
+    assert json.loads(out[0])["graph6"] == emit_graph6(gen_named("P4"))
+
+
+def test_input_with_only_comments_has_no_graphs(capsys, tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("# a comment\n\n   \n# another\n")
+    assert main(["compute", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no graphs found in input\n" and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -153,6 +153,16 @@ def test_all_graphs_counts():
         assert len(all_graphs(n)) == GRAPH_COUNTS[n - 1], n
 
 
+@pytest.mark.parametrize("enumerate_level, n", [(all_graphs, 6), (all_trees, 9)])
+def test_enumeration_returns_a_fresh_list_each_call(enumerate_level, n):
+    # Each level is built once per process; callers still own what they get.
+    first = enumerate_level(n)
+    expected = list(first)
+    first.clear()
+    second = enumerate_level(n)
+    assert second == expected and second is not enumerate_level(n)
+
+
 def test_all_graphs_pairwise_nonisomorphic_n5():
     import networkx as nx
 

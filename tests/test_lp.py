@@ -13,8 +13,16 @@ from dompack import (
     harmonic,
     verify_sandwich,
 )
-from dompack import lp
-from dompack.generators import GenSpec, all_graphs, all_trees, derive_seed, gen_gnp, gen_tree
+from dompack import SolveResult, VertexSet, lp
+from dompack.generators import (
+    GenSpec,
+    all_graphs,
+    all_trees,
+    derive_seed,
+    gen_gnp,
+    gen_tree,
+    generate,
+)
 from dompack.lp import LpError
 
 
@@ -86,6 +94,52 @@ def test_sandwich_trees_collapse():
         k = report.gamma
         assert (report.rho, report.rho_f, report.gamma_f, report.gamma) == (k, k, k, k)
         assert report.holds
+        # verify_sandwich closes a tree from its witnesses, so the simplex is
+        # checked on trees here.
+        assert fractional_domination(t).value == k
+
+
+def count_simplex_runs(monkeypatch):
+    runs = []
+    solve = lp.fractional_domination
+
+    def counted(g):
+        runs.append(g)
+        return solve(g)
+
+    monkeypatch.setattr(lp, "fractional_domination", counted)
+    return runs
+
+
+def test_sandwich_closes_from_meeting_witnesses(monkeypatch):
+    # gamma = rho on trees and on interval graphs (strongly chordal), so a
+    # dominating set and a packing of one size pin gamma_f with no simplex.
+    runs = count_simplex_runs(monkeypatch)
+    tree = gen_tree(GenSpec("tree", 30, derive_seed(1206, 0)))
+    interval = generate(GenSpec("interval", 30, derive_seed(1206, 1), {"span": 0.3}))
+    for g in (tree, interval):
+        gamma = exact_domination(g)
+        report = verify_sandwich(g, gamma=gamma, rho=exact_packing(g))
+        assert report.gamma_f == report.rho_f == report.gamma == gamma.value
+        assert report.holds
+    assert runs == []
+    c4 = gen_named("C4")
+    assert verify_sandwich(c4).gamma_f == Fraction(4, 3)
+    assert runs == [c4]
+
+
+@pytest.mark.parametrize("forged", ["gamma", "rho"])
+def test_sandwich_rechecks_an_invalid_witness(monkeypatch, forged):
+    # On P4, gamma = rho = 2.  A witness of the right size that does not
+    # dominate, or does not pack, closes nothing, so the simplex runs.
+    runs = count_simplex_runs(monkeypatch)
+    p4 = gen_named("P4")
+    results = {"gamma": exact_domination(p4), "rho": exact_packing(p4)}
+    assert results["gamma"].value == results["rho"].value == 2
+    results[forged] = SolveResult(2, VertexSet(4, [0, 1]), 0, True)
+    report = verify_sandwich(p4, **results)
+    assert runs == [p4]
+    assert report.gamma_f == report.rho_f == 2
 
 
 def test_sandwich_rook():
@@ -100,9 +154,10 @@ def test_sandwich_random():
         g = gen_gnp(GenSpec("gnp", 2 + i % 12, derive_seed(1202, i), {"edge_prob": 0.3}))
         report = verify_sandwich(g)
         assert report.holds
-        assert report.rho == exact_packing(g).value
-        assert report.gamma == exact_domination(g).value
-        assert verify_sandwich(g, gamma=report.gamma, rho=report.rho) == report
+        gamma, rho = exact_domination(g), exact_packing(g)
+        assert (report.gamma, report.rho) == (gamma.value, rho.value)
+        assert verify_sandwich(g, gamma=gamma, rho=rho) == report
+        assert report.gamma_f == fractional_domination(g).value
 
 
 def test_against_independent_float_solver():

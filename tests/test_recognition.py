@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import elimination_reference
 import pytest
 from homogeneous_reference import (
     h_extremal_witness,
@@ -26,6 +27,7 @@ from dompack.generators import (
     GenSpec,
     all_graphs,
     derive_seed,
+    gen_distance_hereditary,
     gen_gnp,
     gen_interval,
     gen_tree,
@@ -245,3 +247,24 @@ def test_bipartition_rejects_odd_cycles():
     assert not is_chordal_bipartite(gen_named("K4"))
     assert not is_chordal_bipartite(gen_named("C5"))
     assert not is_chordal_bipartite(Graph(5, [(0, 1), (2, 3), (3, 4), (4, 2)]))
+
+
+def test_eliminations_match_rescan_reference():
+    # Kept local tests must not change a single choice: every graph on <= 6
+    # vertices, then random gnp, interval and distance-hereditary graphs up
+    # to n = 60, get the rescan loop's orderings (None included).
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    for i in range(8):
+        n = 8 + i * 52 // 7
+        seed = derive_seed(1300, i)
+        graphs.append(gen_gnp(GenSpec("gnp", n, seed, {"edge_prob": 0.2})))
+        graphs.append(gen_interval(GenSpec("interval", n, seed, {"span": 0.15})))
+        graphs.append(gen_distance_hereditary(GenSpec("distance-hereditary", n, seed)))
+    orderable = 0
+    for g in graphs:
+        simple = find_simple_elimination_ordering(g)
+        assert simple == elimination_reference.simple_elimination_ordering(g)
+        ordering = find_homogeneous_ordering(g)
+        assert ordering == elimination_reference.homogeneous_ordering(g)
+        orderable += ordering is not None and g.n > 6
+    assert orderable >= 16
