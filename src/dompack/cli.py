@@ -35,7 +35,7 @@ from .constructions import (
 )
 from .errors import DompackError
 from .generators import GenSpec, derive_seed, gen_chordal_bipartite_with_stats, generate
-from .graph import Graph, VertexSet, greedy_maximal_independent_set
+from .graph import MAX_VERTICES, Graph, VertexSet, greedy_maximal_independent_set
 from .lp import verify_sandwich
 from .planar import (
     charge_audit,
@@ -215,8 +215,9 @@ def _in_range(option: str, value: float, least: float, most: float = math.inf) -
 
 
 def _max_n(n: int | None, default: int, least: int) -> int:
-    """The --n value, or `default` when it is not given; below `least` is an error."""
-    return default if n is None else _in_range("--n", n, least)
+    """The --n value, or `default` when it is not given; outside
+    [least, MAX_VERTICES] is an error."""
+    return default if n is None else _in_range("--n", n, least, MAX_VERTICES)
 
 
 # -- compute -------------------------------------------------------------------
@@ -387,7 +388,7 @@ def cmd_construct(args) -> int:
         settled = cert.valid and len(cert.d) == len(cert.p)
         out.record(_record(
             g, t0,
-            certificate=json.loads(cert.to_json()),
+            certificate=cert.to_dict(),
             gamma=len(cert.d) if settled else exact_domination(g).value,
             rho=len(cert.p) if settled else exact_packing(g).value,
             bound=cert.bound_constant,

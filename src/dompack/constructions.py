@@ -13,7 +13,6 @@ instead of being returned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -38,16 +37,15 @@ class DomPackCertificate:
     bound_constant: Fraction
     valid: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "class": self.class_tag,
-                "D": list(self.d),
-                "P": list(self.p),
-                "bound": f"{self.bound_constant.numerator}/{self.bound_constant.denominator}",
-                "valid": self.valid,
-            }
-        )
+    def to_dict(self) -> dict:
+        """The certificate as a JSON-ready dict; the bound is written "n/d"."""
+        return {
+            "class": self.class_tag,
+            "D": list(self.d),
+            "P": list(self.p),
+            "bound": f"{self.bound_constant.numerator}/{self.bound_constant.denominator}",
+            "valid": self.valid,
+        }
 
 
 def _finalize(g: Graph, cert: DomPackCertificate) -> DomPackCertificate:

@@ -3,13 +3,16 @@
 Vertices are dense 0-based indices.  Graphs are immutable values with no edit
 operations; an induced subgraph is densely reindexed and returned with its
 old->new index map.  Adjacency is stored as one int bitmask per vertex, which
-keeps the solver hot loops cheap.
+keeps the solver hot loops cheap.  A `VertexSet` passed together with a graph
+(to the predicates here and to the solvers) must have capacity g.n; any other
+capacity raises `GraphError`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 from .errors import GraphError, VertexRangeError
 
@@ -55,10 +58,12 @@ def _first_fit(masks: tuple[int, ...], allowed: int) -> int:
     return taken
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class VertexSet:
     """Immutable set of vertex indices drawn from a fixed range 0..capacity-1."""
 
-    __slots__ = ("capacity", "mask")
+    capacity: int
+    mask: int
 
     def __init__(self, capacity: int, members: Iterable[int] = ()):
         if not 0 < capacity <= MAX_VERTICES:
@@ -83,9 +88,6 @@ class VertexSet:
     @classmethod
     def full(cls, capacity: int) -> VertexSet:
         return cls.from_mask(capacity, (1 << capacity) - 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.capacity and (self.mask >> v) & 1 == 1
@@ -124,16 +126,6 @@ class VertexSet:
 
     def complement(self) -> VertexSet:
         return VertexSet.from_mask(self.capacity, ((1 << self.capacity) - 1) & ~self.mask)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.capacity == other.capacity
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.capacity, self.mask))
 
     def __repr__(self) -> str:
         return f"VertexSet({self.capacity}, {{{', '.join(map(str, self))}}})"
@@ -253,9 +245,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _set_mask(g: Graph, s: VertexSet | None, default: int = 0) -> int:
+    """The mask of `s` (`default` when s is None); a capacity other than g.n
+    is a `GraphError`."""
+    if s is None:
+        return default
+    if s.capacity != g.n:
+        raise GraphError(f"vertex set of capacity {s.capacity} used with a graph on n = {g.n}")
+    return s.mask
+
+
 def greedy_maximal_independent_set(g: Graph, within: VertexSet | None = None) -> VertexSet:
     """Lowest-index-first maximal independent subset of `within` (or V)."""
-    allowed = within.mask if within is not None else (1 << g.n) - 1
+    allowed = _set_mask(g, within, (1 << g.n) - 1)
     return VertexSet.from_mask(g.n, _first_fit(g.closed_masks, allowed))
 
 
@@ -264,18 +266,19 @@ def greedy_maximal_independent_set(g: Graph, within: VertexSet | None = None) ->
 
 def is_dominating(g: Graph, d: VertexSet, x: VertexSet | None = None) -> bool:
     """True iff N[d] together with the pre-covered set x covers V(g)."""
-    covered = x.mask if x is not None else 0
-    for v in _mask_bits(d.mask):
+    covered = _set_mask(g, x)
+    for v in _mask_bits(_set_mask(g, d)):
         covered |= g.closed_masks[v]
     return covered == (1 << g.n) - 1
 
 
 def is_packing(g: Graph, p: VertexSet, x: VertexSet | None = None) -> bool:
     """True iff p avoids x and has pairwise disjoint closed neighborhoods."""
-    if x is not None and p.mask & x.mask:
+    mask = _set_mask(g, p)
+    if mask & _set_mask(g, x):
         return False
     seen = 0
-    for v in _mask_bits(p.mask):
+    for v in _mask_bits(mask):
         nb = g.closed_masks[v]
         if seen & nb:
             return False

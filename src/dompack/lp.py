@@ -7,17 +7,11 @@ domination solution off the optimal reduced costs of the slack columns.
 
 The tableau stores integer numerators (Bareiss integer pivoting, Math. Comp.
 22, 1968): after k pivots the exact tableau is T_k / D_k, with every entry of
-T_k an integer and D_k > 0 the last pivot.  A pivot maps each row i to
-(T_k[i]·p - T_k[i][col]·T_k[r]) / D_k, so a row whose pivot-column entry is 0
-is only rescaled by D_{k+1} / D_k.  Such rows are left alone: row i keeps
-`scale[i]`, the denominator D_j it was last written at, so its current entries
-are R·D_k / D_j for the stored R.  The pivot row, and each basic right-hand
-side at read-out, is brought to D_k with one `x·D_k // scale`; a row the pivot
-updates goes straight to (R·p - R[col]·T_k[r]) / scale, which is the Bareiss
-step applied to the rescaled row.  Both divisions are exact because their
+T_k an integer and D_k > 0 the last pivot.  A pivot on entry p = T_k[r][col]
+keeps row r and maps every other row i, rows with T_k[i][col] = 0 included, to
+(T_k[i]·p - T_k[i][col]·T_k[r]) // D_k; the division is exact because the
 results are Bareiss entries, which are integers.  The ratio test compares
-rhs/a within one row, where the scale cancels, and row 0 takes part in every
-pivot, so the pivots are those of the fully rescaled tableau.
+rhs/a within one row, where D_k cancels.
 
 Dantzig's rule drives the pivots and Bland's rule takes over whenever the
 objective stalls, which rules out cycling.  The optimal pair is checked as
@@ -54,9 +48,7 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
     """Max 1.y s.t. N y <= 1, y >= 0, via integer pivoting.
 
     Returns (denom, value, y, x): integer numerators over one denominator
-    denom > 0.  Row i of the tableau holds its entries over `scale[i]`, the
-    denominator at the last pivot that touched it; the current row is
-    `tableau[i][j] * denom // scale[i]`, which divides exactly.
+    denom > 0.
     """
     width = 2 * n + 1
     rhs = 2 * n
@@ -67,14 +59,13 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
         row[n + i] = 1
         tableau.append(row)
     denom = 1
-    scale = [1] * (n + 1)
     basis = [n + i for i in range(n)]
 
     bland = False
     stall = 0
     last_obj = (0, 1)
     for _ in range(_PIVOT_LIMIT):
-        obj_row = tableau[0]  # every pivot touches row 0, so it is current
+        obj_row = tableau[0]
         if bland:
             col = next((j for j in range(width - 1) if obj_row[j] < 0), -1)
         else:
@@ -84,8 +75,7 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
             break  # optimal
 
         # Ratio test: min rhs/col over positive col entries; ties by lowest
-        # leaving basis variable (Bland-compatible).  A row's scale cancels
-        # in rhs/col and is positive, so stale rows compare as current ones.
+        # leaving basis variable (Bland-compatible).
         row = -1
         best_num = best_den = 0
         for i in range(1, n + 1):
@@ -100,21 +90,13 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
             raise LpError("unbounded packing LP; the input matrix is malformed")
 
         prow = tableau[row]
-        if scale[row] != denom:
-            s = scale[row]
-            prow = tableau[row] = [v * denom // s for v in prow]
         pivot = prow[col]
         for i in range(n + 1):
-            trow = tableau[i]
-            factor = trow[col]
-            if factor and i != row:
-                # The Bareiss step on the row as stored: dividing by its own
-                # scale s gives the same integers as first rescaling to denom.
-                s = scale[i]
-                tableau[i] = [(v * pivot - factor * w) // s for v, w in zip(trow, prow)]
-                scale[i] = pivot
+            if i != row:
+                trow = tableau[i]
+                factor = trow[col]
+                tableau[i] = [(v * pivot - factor * w) // denom for v, w in zip(trow, prow)]
         denom = pivot
-        scale[row] = pivot
         basis[row - 1] = col
 
         obj = (tableau[0][rhs], denom)
@@ -131,7 +113,7 @@ def _simplex_packing(closed: tuple[int, ...], n: int):
     y = [0] * n
     for i in range(n):
         if basis[i] < n:
-            y[basis[i]] = tableau[i + 1][rhs] * denom // scale[i + 1]
+            y[basis[i]] = tableau[i + 1][rhs]
     return denom, tableau[0][rhs], y, tableau[0][n:rhs]
 
 
@@ -158,15 +140,11 @@ def fractional_domination(g: Graph) -> LpSolution:
             raise LpError(f"fractional packing constraint violated at vertex {v}")
     if min(x) < 0 or min(y) < 0:
         raise LpError("negative coordinate in LP solution")
-    fracs = {}  # one Fraction per distinct numerator; most are 0
-
-    def frac(c: int) -> Fraction:
-        f = fracs.get(c)
-        if f is None:
-            f = fracs[c] = Fraction(c, denom)
-        return f
-
-    return LpSolution(frac(value), tuple(map(frac, x)), tuple(map(frac, y)))
+    return LpSolution(
+        Fraction(value, denom),
+        tuple([Fraction(c, denom) for c in x]),
+        tuple([Fraction(c, denom) for c in y]),
+    )
 
 
 @dataclass(frozen=True)
@@ -191,18 +169,18 @@ def verify_sandwich(
     dominating set D and a packing P with |D| = |P| = k prove
     k <= rho <= rho_f = gamma_f <= gamma <= k, so when both witnesses check
     and meet, gamma_f = k and the simplex does not run.  Otherwise, invalid
-    witnesses included, gamma_f comes from `fractional_domination`.
+    witnesses included, gamma_f comes from `fractional_domination`.  A
+    witness whose capacity is not g.n raises `GraphError`.
     """
     if gamma is None:
         gamma = exact_domination(g)
     if rho is None:
         rho = exact_packing(g)
     k = gamma.value
-    if (
-        rho.value == k == len(gamma.witness) == len(rho.witness)
-        and is_dominating(g, gamma.witness)
-        and is_packing(g, rho.witness)
-    ):
+    # Both checks always run, so a witness from another graph raises GraphError.
+    dominates = is_dominating(g, gamma.witness)
+    packs = is_packing(g, rho.witness)
+    if dominates and packs and rho.value == k == len(gamma.witness) == len(rho.witness):
         gamma_f = Fraction(k)
     else:
         # fractional_domination checked sum(y) == sum(x) == value.

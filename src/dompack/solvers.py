@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, _first_fit, _mask_bits
+from .graph import Graph, VertexSet, _first_fit, _mask_bits, _set_mask
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
     full = (1 << n) - 1
     closed = g.closed_masks
     second = g.second_masks
-    start = x.mask if x is not None else 0
+    start = _set_mask(g, x)
     by_degree = sorted(range(n), key=lambda v: (closed[v].bit_count(), v))
 
     incumbent = _greedy_cover(n, closed, start)
@@ -116,7 +116,7 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
     n = g.n
     closed = g.closed_masks
     second = g.second_masks
-    eligible0 = ((1 << n) - 1) & ~(x.mask if x is not None else 0)
+    eligible0 = ((1 << n) - 1) & ~_set_mask(g, x)
 
     incumbent = tuple(_mask_bits(_first_fit(second, eligible0)))
     best_size = len(incumbent)

@@ -3,10 +3,13 @@
 `fractional_domination` pivots on the tableau's integer numerators, at every
 step rewriting every row as `(row·pivot - factor·pivot_row) // denom`, rows
 whose pivot-column entry is 0 included, and checks the optimal pair in
-`Fraction` arithmetic.  It follows the textbook Bareiss step directly and
-shares no pivot or check code with `dompack.lp`, so the tests use it as the
-oracle for the lazily rescaled simplex: with the same pivot rules both must
-take the same pivots and return the same value, primal and dual vectors.
+`Fraction` arithmetic.  `dompack.lp` applies the same update rule, so with the
+same pivot rules both must take the same pivots and return the same value,
+primal and dual vectors.  It stays an oracle all the same: it shares no pivot,
+read-out or check code with `dompack.lp`, and it checks the optimum as
+`Fraction`s where `dompack.lp` checks integer numerators over one
+denominator, so a slip in either pivot loop or either check shows up as a
+mismatch or an `LpError`.
 """
 
 from fractions import Fraction

@@ -205,7 +205,8 @@ def test_certificate_determinism():
 
 def test_certificate_json_schema():
     cert = tree_dompack(gen_named("P7"), 0)
-    obj = json.loads(cert.to_json())
+    obj = cert.to_dict()
+    assert json.loads(json.dumps(obj)) == obj  # JSON-ready as it stands
     assert set(obj) == {"class", "D", "P", "bound", "valid"}
     assert obj["class"] == "tree"
     assert obj["bound"] == "1/1"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,10 @@ from dompack import (
     GraphError,
     VertexRangeError,
     VertexSet,
+    exact_domination,
+    exact_packing,
     gen_named,
+    greedy_maximal_independent_set,
     is_dominating,
     is_packing,
 )
@@ -132,6 +137,42 @@ def test_vertex_set_operations():
         VertexSet(4, [4])
     with pytest.raises(AttributeError):
         a.mask = 0
+
+
+def test_vertex_set_is_a_frozen_value():
+    a = VertexSet(8, [0, 2, 4])
+    with pytest.raises(AttributeError):
+        del a.mask
+    assert a.mask == 0b10101
+    assert hash(a) == hash((8, 0b10101))
+    assert a != VertexSet(9, [0, 2, 4]) and a != 0b10101
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert copied == a and hash(copied) == hash(a)
+        assert sorted(copied) == [0, 2, 4] and copied.capacity == 8
+    # Results that hold a VertexSet copy and pickle too.
+    result = exact_domination(gen_named("C5"))
+    assert copy.deepcopy(result) == pickle.loads(pickle.dumps(result)) == result
+
+
+@pytest.mark.parametrize("capacity", [6, 2])  # n + 2 and n - 2 on P4
+def test_vertex_set_capacity_must_match_the_graph(capacity):
+    # A set over another vertex range is a GraphError: not an IndexError, not
+    # a check against the wrong graph, and not a greedy cover that never ends.
+    p4 = gen_named("P4")
+    other = VertexSet(capacity, [capacity - 1])
+    own = VertexSet(4, [1])
+    calls = [
+        lambda: is_dominating(p4, other),
+        lambda: is_dominating(p4, own, other),
+        lambda: is_packing(p4, other),
+        lambda: is_packing(p4, own, other),
+        lambda: exact_packing(p4, other),
+        lambda: greedy_maximal_independent_set(p4, other),
+        lambda: exact_domination(p4, other),
+    ]
+    for call in calls:
+        with pytest.raises(GraphError, match="capacity"):
+            call()
 
 
 def test_components():

@@ -13,7 +13,7 @@ from dompack import (
     harmonic,
     verify_sandwich,
 )
-from dompack import SolveResult, VertexSet, lp
+from dompack import GraphError, SolveResult, VertexSet, lp
 from dompack.generators import (
     GenSpec,
     all_graphs,
@@ -142,6 +142,19 @@ def test_sandwich_rechecks_an_invalid_witness(monkeypatch, forged):
     assert report.gamma_f == report.rho_f == 2
 
 
+@pytest.mark.parametrize("capacity", [6, 2])  # n + 2 and n - 2 on P4
+def test_sandwich_rejects_a_result_from_another_graph(monkeypatch, capacity):
+    # The sizes do not meet, yet the foreign witness is an error rather than
+    # a silent fall-back to the simplex.
+    runs = count_simplex_runs(monkeypatch)
+    p4 = gen_named("P4")
+    foreign = SolveResult(1, VertexSet(capacity, [0]), 0, True)
+    for results in ({"gamma": foreign}, {"rho": foreign}):
+        with pytest.raises(GraphError, match="capacity"):
+            verify_sandwich(p4, **results)
+    assert runs == []
+
+
 def test_sandwich_rook():
     report = verify_sandwich(gen_rook(3, 3))
     assert report.rho == 1 and report.gamma == 3
@@ -181,8 +194,8 @@ def test_against_independent_float_solver():
 
 
 def test_equals_fully_rescaled_reference():
-    # The lazily rescaled tableau must take the reference's pivots, so the
-    # whole solution, not only the value, is the same.
+    # dompack.lp and the reference apply the same Bareiss step, so they must
+    # take the same pivots and the whole solution, not only the value, is the same.
     graphs = [g for n in range(1, 8) for g in all_graphs(n)]
     graphs += [t for n in range(1, 13) for t in all_trees(n)]
     graphs += [
