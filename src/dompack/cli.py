@@ -1,4 +1,4 @@
-"""Command-line surface: compute, verify, construct, search, lemmacheck.
+"""Command-line surface: compute, verify, construct, lemmacheck.
 
 Records are plain dicts built by `_record`, the one place a graph becomes a
 record; each subcommand adds only its own fields.  Every record, failed ones
@@ -54,15 +54,15 @@ from .recognition import (
 from .solvers import exact_domination, exact_packing
 
 # Per verify class: the default bound c in gamma <= c * rho, the default --n,
-# and the smallest --n its instance generator can draw from.
+# and the smallest and largest --n its instance generator can draw from.
 CLASSES = {
-    "tree": (Fraction(1), 50, 2),
-    "strongly-chordal": (Fraction(1), 40, 2),
-    "chordal-bipartite": (Fraction(2), 16, 4),
-    "homogeneously-orderable": (Fraction(2), 14, 2),
-    "planar": (Fraction(7), 30, 4),
-    "rook": (Fraction(1), 25, 4),
-    "any": (Fraction(1), 12, 2),
+    "tree": (Fraction(1), 50, 2, MAX_VERTICES),
+    "strongly-chordal": (Fraction(1), 40, 2, MAX_VERTICES),
+    "chordal-bipartite": (Fraction(2), 16, 4, 16),
+    "homogeneously-orderable": (Fraction(2), 14, 2, MAX_VERTICES),
+    "planar": (Fraction(7), 30, 4, MAX_VERTICES),
+    "rook": (Fraction(1), 25, 4, MAX_VERTICES),
+    "any": (Fraction(1), 12, 2, MAX_VERTICES),
 }
 CONSTRUCT_CLASSES = ("tree", "strongly-chordal", "chordal-bipartite", "homogeneously-orderable")
 
@@ -214,10 +214,10 @@ def _in_range(option: str, value: float, least: float, most: float = math.inf) -
     return value
 
 
-def _max_n(n: int | None, default: int, least: int) -> int:
+def _max_n(n: int | None, default: int, least: int, most: int = MAX_VERTICES) -> int:
     """The --n value, or `default` when it is not given; outside
-    [least, MAX_VERTICES] is an error."""
-    return default if n is None else _in_range("--n", n, least, MAX_VERTICES)
+    [least, most] is an error."""
+    return default if n is None else _in_range("--n", n, least, most)
 
 
 # -- compute -------------------------------------------------------------------
@@ -270,7 +270,7 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int, x_prob: float) -
     if cls == "chordal-bipartite":
         return GenSpec(
             "chordal-bipartite",
-            rng.randrange(4, min(max_n, 16) + 1),
+            rng.randrange(4, max_n + 1),
             sub,
             {"edge_prob": rng.choice([0.2, 0.3, 0.45])},
         )
@@ -316,14 +316,15 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
 
 def cmd_verify(args) -> int:
     cls = args.cls
-    default_bound, default_n, least_n = CLASSES[cls]
+    default_bound, default_n, least_n, most_n = CLASSES[cls]
     bound = _parse_fraction(args.bound, "--bound") if args.bound else default_bound
-    max_n = _max_n(args.n, default_n, least_n)
+    max_n = _max_n(args.n, default_n, least_n, most_n)
     _in_range("--count", args.count, 0)
     _in_range("--x-prob", args.x_prob, 0, 1)
     _in_range("--x-samples", args.x_samples, 0)
     _in_range("--jobs", args.jobs, 1)
-    specs = [_instance_spec(cls, i, args.seed, max_n, args.x_prob) for i in range(args.count)]
+    seed = _seed(args)
+    specs = [_instance_spec(cls, i, seed, max_n, args.x_prob) for i in range(args.count)]
     x_samples = args.x_samples if cls == "planar" else 0
     out = _Output(args)
     worst = Fraction(0)
@@ -397,67 +398,6 @@ def cmd_construct(args) -> int:
     return out.summary({"class": cls, "instances": out.records, "failures": out.failures})
 
 
-# -- search --------------------------------------------------------------------
-
-
-def _search_score(g: Graph) -> tuple[tuple[int, int], dict]:
-    """Solve g for search: its climb key, and its gamma, rho and exact ratio.
-
-    The key first rewards eliminating distant vertex pairs (rho drops to 1
-    exactly when none remain, and that is where large ratios live), then a
-    larger gamma.  The reported and target-tested quantity is the ratio.
-    """
-    gamma = exact_domination(g).value
-    rho = exact_packing(g).value
-    far = sum(g.n - mask.bit_count() for mask in g.second_masks)
-    climb = (1, gamma) if far == 0 else (0, -far)
-    return climb, {"gamma": gamma, "rho": rho, "ratio": Fraction(gamma, rho)}
-
-
-def cmd_search(args) -> int:
-    if args.n > 30:
-        raise DompackError("extremal search is capped at n <= 30")
-    _in_range("--iterations", args.iterations, 0)
-    target = _parse_fraction(args.target, "--target")
-    rng = random.Random(args.seed)
-    best_graph, best = None, {"ratio": Fraction(0)}
-    t0 = time.perf_counter()
-
-    iterations_left = args.iterations
-    restart = 0
-    while iterations_left > 0 and best["ratio"] < target:
-        restart += 1
-        emb = embed_maximal_planar(derive_seed(args.seed, restart), args.n)
-        all_edges = sorted((min(u, v), max(u, v)) for u, v in emb.edges)
-        keep = rng.uniform(0.7, 1.0)
-        present = {e for e in all_edges if rng.random() < keep}
-
-        g = Graph(args.n, sorted(present))
-        cur, solved = _search_score(g)
-        if solved["ratio"] > best["ratio"]:
-            best_graph, best = g, solved
-        stall = 0
-        while iterations_left > 0 and best["ratio"] < target and stall < 12 * args.n:
-            iterations_left -= 1
-            nxt = present ^ {all_edges[rng.randrange(len(all_edges))]}
-            g = Graph(args.n, sorted(nxt))
-            climb, solved = _search_score(g)
-            if climb < cur:
-                stall += 1
-                continue
-            stall = stall + 1 if climb == cur else 0
-            present, cur = nxt, climb
-            if solved["ratio"] > best["ratio"]:
-                best_graph, best = g, solved
-
-    found = best["ratio"] >= target
-    # n is the requested size, also when no iteration ran and best_graph is None.
-    out = _Output(args)
-    out.record(_record(best_graph, t0, n=args.n, **best, target=str(target), found=found))
-    out.summary({"target": str(target), "found": found, "best_ratio": str(best["ratio"])})
-    return 0  # best-effort by design
-
-
 # -- lemmacheck ----------------------------------------------------------------
 
 
@@ -478,8 +418,9 @@ def cmd_lemmacheck(args) -> int:
     out = _Output(args)
     n_max = _max_n(args.n, 40, 4)  # triangulate and charge-audit draw n from 4..n_max
     _in_range("--count", args.count, 0)
+    seed = _seed(args)
     for i in range(args.count):
-        sub = derive_seed(args.seed, 7_000_000 + i)
+        sub = derive_seed(seed, 7_000_000 + i)
         t0 = time.perf_counter()
         g = None  # set as soon as the instance exists, so failures carry it
         try:
@@ -515,7 +456,14 @@ def cmd_lemmacheck(args) -> int:
 # -- entry ---------------------------------------------------------------------
 
 
-def _env_seed() -> int:
+def _seed(args) -> int:
+    """The master seed: --seed, else env DOMPACK_SEED, else 0.
+
+    Read when a seeded command runs, so a bad DOMPACK_SEED fails only the
+    commands that would use it.
+    """
+    if args.seed is not None:
+        return args.seed
     text = os.environ.get("DOMPACK_SEED", "0")
     try:
         return int(text)
@@ -523,13 +471,9 @@ def _env_seed() -> int:
         raise DompackError(f"DOMPACK_SEED must be an integer, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=_env_seed(),
-        help="master seed (default: env DOMPACK_SEED or 0)",
-    )
+def _add_common(parser: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+    if seeded:
+        parser.add_argument("--seed", type=int, help="master seed (default: env DOMPACK_SEED or 0)")
     parser.add_argument("--format", choices=("json", "table", "csv"), default="table")
     parser.add_argument("--out", help="write output to FILE instead of stdout")
 
@@ -556,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-prob", type=float, default=0.25, help="planar: P(v in X)")
     p.add_argument("--x-samples", type=int, default=2, help="planar: random X sets per instance")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="run the class construction on input graphs")
@@ -566,18 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("search", help="hill-climb planar instances toward a target gamma/rho")
-    p.add_argument("--target", default="3", help="target ratio (rational, e.g. 5/2)")
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--iterations", type=int, default=2000)
-    _add_common(p)
-    p.set_defaults(func=cmd_search)
-
     p = sub.add_parser("lemmacheck", help="run executable lemma checks over generated instances")
     p.add_argument("--lemma", choices=("triangulate", "discharge", "charge-audit"), required=True)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--n", type=int, help="max vertex count")
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_lemmacheck)
 
     return parser

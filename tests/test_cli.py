@@ -117,6 +117,7 @@ def test_input_with_only_comments_has_no_graphs(capsys, tmp_path):
         ["verify", "--class", "homogeneously-orderable", "--n", "1"],
         ["verify", "--class", "any", "--n", "1"],
         ["verify", "--class", "chordal-bipartite", "--n", "3"],
+        ["verify", "--class", "chordal-bipartite", "--n", "17"],
         ["verify", "--class", "planar", "--n", "3"],
         ["verify", "--class", "tree", "--n", "-5"],
         ["verify", "--class", "rook", "--n", "-5"],
@@ -126,11 +127,11 @@ def test_input_with_only_comments_has_no_graphs(capsys, tmp_path):
         ["lemmacheck", "--lemma", "discharge", "--n", "0"],
         ["compute", "-", "--x-set", "a"],
         ["verify", "--class", "tree", "--bound", "x"],
-        ["search", "--target", "x"],
         ["compute", "missing.g6"],
         ["compute", "-", "--out", "missing-dir/out.json"],
         ["compute", "binary.dat"],
         ["DOMPACK_SEED=abc", "verify", "--class", "tree"],
+        ["DOMPACK_SEED=abc", "lemmacheck", "--lemma", "discharge"],
         ["verify", "--class", "tree", "--count", "-3"],
         ["lemmacheck", "--lemma", "triangulate", "--count", "-2"],
         ["verify", "--class", "planar", "--x-samples", "-1"],
@@ -138,7 +139,6 @@ def test_input_with_only_comments_has_no_graphs(capsys, tmp_path):
         ["verify", "--class", "planar", "--x-prob", "-0.5"],
         ["verify", "--class", "tree", "--jobs", "-4"],
         ["verify", "--class", "tree", "--jobs", "0"],
-        ["search", "--iterations", "-5"],
         ["construct", "--class", "tree", "-", "--root", "-1"],
         ["verify", "--class", "tree", "--n", "600", "--count", "3"],
         ["lemmacheck", "--lemma", "charge-audit", "--n", "2000", "--count", "4", "--seed", "1"],
@@ -330,29 +330,6 @@ def test_failed_construct_record_is_replayable(capsys, tmp_path):
     assert rec["wall_time"] > 0
 
 
-def test_search_trivial_target(capsys):
-    code, out = run_cli(
-        capsys, "search", "--target", "1", "--n", "8", "--iterations", "40",
-        "--seed", "2", "--format", "json",
-    )
-    assert code == 0
-    _, summary = json_records(out)
-    assert summary["found"] is True
-
-
-def test_search_ratio_two(capsys):
-    code, out = run_cli(
-        capsys, "search", "--target", "2", "--n", "10", "--iterations", "2000",
-        "--seed", "1", "--format", "json",
-    )
-    assert code == 0
-    _, summary = json_records(out)
-    assert summary["found"] is True
-    from fractions import Fraction
-
-    assert Fraction(summary["best_ratio"]) >= 2
-
-
 def test_lemmacheck_all(capsys):
     for lemma in ("triangulate", "discharge", "charge-audit"):
         code, out = run_cli(
@@ -466,6 +443,31 @@ def test_env_seed(capsys, monkeypatch):
     assert [r["graph6"] for r in recs1] == [r["graph6"] for r in recs2]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "-"],
+        ["construct", "--class", "tree", "-"],
+        ["verify", "--class", "tree", "--count", "1", "--seed", "3"],
+    ],
+)
+def test_a_seed_left_unread_is_not_checked(capsys, monkeypatch, argv):
+    # compute and construct draw nothing at random, and an explicit --seed
+    # overrides the environment: none of these runs reads DOMPACK_SEED.
+    monkeypatch.setenv("DOMPACK_SEED", "abc")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(emit_graph6(gen_named("P4")) + "\n"))
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert len(json_records(out)[0]) == 1
+
+
+@pytest.mark.parametrize("command", [["compute", "-"], ["construct", "--class", "tree", "-"]])
+def test_unseeded_commands_take_no_seed(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_console_entry_point(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "dompack.cli", "compute", "-", "--format", "json"],
@@ -502,11 +504,10 @@ PINNED_RUNS = (
         ["lemmacheck", "--lemma", lemma, "--count", "10", "--seed", "2"]
         for lemma in ("triangulate", "discharge", "charge-audit")
     ]
-    + [["search", "--target", "2", "--n", "10", "--seed", "1"]]
 )
 # sha256 of PINNED_RUNS' exit codes and JSON output, wall_time stripped: any
 # change to an answer, witness, ordering, field or exit status shows here.
-PINNED_OUTPUT_SHA256 = "bf114d5de3ce7fe80437cfa21030b77409d3eed2da749a930d6828dc8f1c754e"
+PINNED_OUTPUT_SHA256 = "12206fb1a475c77cfd44520e4f677e87a04ab3603e5a36b7e807ed5156735943"
 
 
 def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):

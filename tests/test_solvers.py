@@ -98,9 +98,10 @@ def test_greedy_examples():
 
 
 def test_planar_ratio_three_exhibit():
-    # Found by the extremal search command: a planar graph of diameter 2
-    # (hence rho = 1) with gamma = 3, witnessing that the planar
-    # domination/packing ratio reaches 3.
+    # A planar graph of diameter 2 (hence rho = 1) with gamma = 3, so the
+    # planar domination/packing ratio reaches 3.  By Goddard and Henning
+    # (J. Graph Theory 40, 2002) every planar graph of diameter 2 has
+    # gamma <= 2 except one graph on 9 vertices, so this is that exception.
     import networkx as nx
 
     from dompack import parse_graph6
