@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -337,6 +338,18 @@ def _tree_level(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     return tuple(found.values()), tuple(found[key] for key in sorted(found))
 
 
+def _adjacency(mask: int, n: int) -> list[int]:
+    """The adjacency masks of the graph whose pair-mask is `mask` on n vertices."""
+    # Pair (i, j), i < j, is bit j(j-1)/2 + i: column-major, the graph6 bit order.
+    adj = [0] * n
+    for j in range(1, n):
+        column = mask >> j * (j - 1) // 2 & ((1 << j) - 1)
+        adj[j] = column
+        for i in _mask_bits(column):
+            adj[i] |= 1 << j
+    return adj
+
+
 def _canonical_mask(mask: int, n: int) -> int:
     """Minimum pair-mask over all n! vertex relabelings: the canonical form of
     `all_graphs`, which calls it for n <= 7 (exact for any n).
@@ -346,44 +359,84 @@ def _canonical_mask(mask: int, n: int) -> int:
     neighbours lowest in each cell of the unplaced vertices (bottom cell first).
     Only top-cell vertices tying for that smallest column are tried, each
     splitting every cell into (neighbours of w, the rest).
+
+    Twins u and w, with N(u) - w = N(w) - u, are tried only once per cell:
+    swapping them is an automorphism that fixes every other vertex, so it maps
+    the search state to itself (every placed vertex sees both or neither, and
+    they share the top cell) and w's branch onto u's, with the same minimum.
     """
-    adj = list(map(_mask_to_graph(mask, n).adjacency_mask, range(n)))
+    adj = _adjacency(mask, n)
+    # N(u) - w = N(w) - u means N(u) = N(w) or N[u] = N[w], and no open
+    # neighbourhood equals a closed one, so one table holds both kinds.
+    classes: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        for key in (a, a | 1 << v):
+            classes[key] = classes.get(key, 0) | 1 << v
+    twins = [classes[a] | classes[a | 1 << v] for v, a in enumerate(adj)]
 
     def least(cells: list[int], j: int) -> int:
-        if j == 0:
-            return 0
-        scored = []
+        if j == 1:  # column 1 is the edge between the last two, in either order
+            u, w = _mask_bits(cells[0] | cells[-1])
+            return adj[u] >> w & 1
+        scored, tried = [], 0
         for w in _mask_bits(cells[-1]):
-            rest, col = cells[:-1] + [cells[-1] & ~(1 << w)], 0
-            for c in reversed(rest):
+            if twins[w] & tried:
+                continue
+            tried |= 1 << w
+            col = 0  # w's own cell comes first, so its width never shifts in
+            for c in reversed(cells):
                 col = (col << c.bit_count()) | ((1 << (adj[w] & c).bit_count()) - 1)
-            scored.append((col, [p for c in rest for p in (c & adj[w], c & ~adj[w]) if p]))
-        low = min(col for col, _ in scored)
-        tail = min(least(split, j - 1) for col, split in scored if col == low)
+            scored.append((col, w))
+        low = min(scored)[0]
+        tail = min(
+            least([p for c in cells for p in (c & adj[w], c & ~(adj[w] | 1 << w)) if p], j - 1)
+            for col, w in scored
+            if col == low
+        )
         return (low << j * (j - 1) // 2) | tail
 
-    return least([(1 << n) - 1], n - 1)
+    return least([(1 << n) - 1], n - 1) if n > 1 else 0
 
 
 def _mask_to_graph(mask: int, n: int) -> Graph:
-    # Pair (i, j), i < j, is bit j(j-1)/2 + i: column-major, the graph6 bit order.
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if (mask >> (j * (j - 1) // 2 + i)) & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+    adj = _adjacency(mask, n)
+    return Graph(n, [(i, j) for j in range(n) for i in _mask_bits(adj[j] & ((1 << j) - 1))])
+
+
+def _automorphisms(adj: list[int]) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with adjacency masks `adj`, as the
+    tuple of the images of 0..n-1, by backtracking over degree-preserving maps
+    that keep each edge and non-edge to the vertices already mapped."""
+    n = len(adj)
+    degree = [a.bit_count() for a in adj]
+    found: list[tuple[int, ...]] = []
+    image: list[int] = []
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            found.append(tuple(image))
+            return
+        # The image of v must see exactly the images of v's mapped neighbours.
+        target = sum(1 << image[u] for u in _mask_bits(adj[v] & ((1 << v) - 1)))
+        for w in range(n):
+            if not used >> w & 1 and degree[w] == degree[v] and adj[w] & used == target:
+                image.append(w)
+                extend(v + 1, used | 1 << w)
+                image.pop()
+
+    extend(0, 0)
+    return found
 
 
 def all_graphs(n: int) -> list[Graph]:
     """All non-isomorphic simple graphs on n vertices, capped at n <= 7.
 
-    Level k graphs come from attaching a new vertex of maximum degree to every
-    level k-1 representative in every possible way, then deduplicating by
-    the canonical form `_canonical_mask`: the minimum pair-mask (edge i < j at
-    bit j(j-1)/2 + i) over all vertex relabelings.  Each representative is the
-    graph of its canonical mask, returned in increasing mask order.  Each
-    level is built once per process.
+    Level k graphs come from attaching a new vertex of maximum degree to the
+    level k-1 representatives, once per automorphism orbit of its possible
+    neighbourhoods, then deduplicating by the canonical form `_canonical_mask`:
+    the minimum pair-mask (edge i < j at bit j(j-1)/2 + i) over all vertex
+    relabelings.  Each representative is the graph of its canonical mask,
+    returned in increasing mask order.  Each level is built once per process.
     """
     if not 1 <= n <= 7:
         raise GraphError("exhaustive graph enumeration is capped at n <= 7")
@@ -392,18 +445,39 @@ def all_graphs(n: int) -> list[Graph]:
 
 @functools.cache
 def _graph_level(n: int) -> tuple[int, ...]:
-    """The canonical masks of the graphs on n vertices, in increasing order."""
+    """The canonical masks of the graphs on n vertices, in increasing order.
+
+    Every graph on n vertices is some level n-1 representative grown by a
+    new vertex of maximum degree: delete a vertex of maximum degree and
+    relabel.  So a representative is grown by a neighbourhood S only when the
+    new vertex has maximum degree, that is, when |S| is at least the degree
+    of every vertex outside S and exceeds the degree of every vertex in S;
+    other subsets only repeat classes found anyway.  An automorphism p of the
+    representative maps the growth by S onto the growth by p(S), an
+    isomorphic graph, so only the least subset of each orbit is grown and
+    canonicalised (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998).
+    """
     if n == 1:
         return (0,)
     prev_pairs = (n - 1) * (n - 2) // 2
     masks = set()
     for mask in _graph_level(n - 1):
-        # Deleting a vertex of maximum degree d leaves a graph of maximum
-        # degree <= d, so every graph on n vertices is some representative
-        # grown by a neighbourhood of at least its maximum degree: smaller
-        # subsets only repeat classes found anyway.
-        top = _mask_to_graph(mask, n - 1).max_degree()
+        adj = _adjacency(mask, n - 1)
+        degree = [a.bit_count() for a in adj]
+        top = max(degree)
+        # at_least[k] holds the vertices of degree >= k, which S of size k avoids.
+        at_least = [sum(1 << v for v, d in enumerate(degree) if d >= k) for k in range(n)]
+        automorphisms = _automorphisms(adj)
+        # images[v][k] is the bit of v's image under automorphisms[k].
+        images = [tuple(1 << w for w in column) for column in zip(*automorphisms)]
+        seen = set()
         for subset in range(1 << (n - 1)):
-            if subset.bit_count() >= top:
+            size = subset.bit_count()
+            if size >= top and not subset & at_least[size] and subset not in seen:
                 masks.add(_canonical_mask(mask | subset << prev_pairs, n))
+                orbit = [0] * len(automorphisms)
+                for v in _mask_bits(subset):
+                    orbit = map(operator.or_, orbit, images[v])
+                seen.update(orbit)
     return tuple(sorted(masks))

@@ -21,6 +21,8 @@ from dompack import (
 from dompack import generators
 from dompack.generators import (
     GenSpec,
+    _adjacency,
+    _automorphisms,
     _canonical_mask,
     all_graphs,
     all_trees,
@@ -198,6 +200,12 @@ def test_canonical_mask_matches_brute_force():
     cases += [(rng.getrandbits(15), 6) for _ in range(200)]
     cycle7 = _edges_mask([(i, (i + 1) % 7) for i in range(7)])  # many ties
     cases += [(0, 7), ((1 << 21) - 1, 7), (cycle7, 7)]
+    # Twin-heavy cases, where the search tries one vertex per twin class.
+    star6 = _edges_mask([(0, i) for i in range(1, 7)])
+    k34 = _edges_mask([(i, j) for i in range(3) for j in range(3, 7)])
+    k25_clique_side = _edges_mask([(i, j) for i in range(2) for j in range(2, 7)] + [(0, 1)])
+    two_triangles = _edges_mask([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    cases += [(star6, 7), (k34, 7), (k25_clique_side, 7), (two_triangles, 7)]
     for mask, n in cases:
         assert _canonical_mask(mask, n) == _brute_canonical(mask, n), (mask, n)
 
@@ -210,6 +218,40 @@ def test_all_graphs_representatives_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3f38f4458e7a0b07d4d97cb801e787b14451ec82260b28b8d6959ffa97fc99b6"
     )
+
+
+def test_all_trees_representatives_pinned():
+    # Any change to a tree representative, or to their order, changes the digest.
+    trees = [all_trees(n) for n in range(1, 13)]
+    assert [len(level) for level in trees] == TREE_COUNTS
+    text = "\n".join(emit_graph6(t) for level in trees for t in level)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f2ab5261e60a0747c51c422d653ef796ea9215ca42798248a0bcd1983c2c6389"
+    )
+
+
+def _brute_automorphisms(mask, n):
+    """Every relabeling in itertools.permutations that keeps each pair's bit."""
+
+    def edge(i, j):
+        i, j = min(i, j), max(i, j)
+        return mask >> (j * (j - 1) // 2 + i) & 1
+
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return sorted(
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(edge(i, j) == edge(perm[i], perm[j]) for i, j in pairs)
+    )
+
+
+def test_automorphisms_match_brute_force():
+    cases = [(mask, n) for n in range(1, 6) for mask in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(1998)
+    cases += [(rng.getrandbits(15), 6) for _ in range(50)]
+    for mask, n in cases:
+        found = sorted(_automorphisms(_adjacency(mask, n)))
+        assert found == _brute_automorphisms(mask, n), (mask, n)
 
 
 def test_runtime_needs_no_numpy(src_env):
