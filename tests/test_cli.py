@@ -528,3 +528,42 @@ def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
             rec.pop("wall_time", None)
         digest.update(json.dumps([argv, code, lines], sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+@pytest.fixture(scope="module")
+def pinned_text(tmp_path_factory):
+    """{format: [(argv, exit code, output)]}: PINNED_RUNS as table and as CSV."""
+    from dompack.generators import all_graphs, all_trees
+
+    tmp_path = tmp_path_factory.mktemp("pinned")
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += [t for n in range(1, 11) for t in all_trees(n)]
+    (tmp_path / "graphs.g6").write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    runs = {"table": [], "csv": []}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DOMPACK_SEED", raising=False)
+        for fmt, outputs in runs.items():
+            for argv in PINNED_RUNS:
+                argv = argv + ["--format", fmt, "--out", "out.txt"]
+                outputs.append((argv, main(argv), (tmp_path / "out.txt").read_text()))
+    return runs
+
+
+# sha256 per format of PINNED_RUNS' exit codes and output, CSV's last column
+# (wall_time) cut off: the table and CSV layouts, row by row.
+PINNED_TEXT_SHA256 = {
+    "table": "401f9047e59e3f91750c3d8163c17bb910fa36a0cac1de749db0fae60c4add6a",
+    "csv": "53b8df527129c5a3d693840aae8cc2d4bd388c1c4929dd38c5a67e9a377e9348",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_output_is_pinned(pinned_text, fmt):
+    digest = hashlib.sha256()
+    for argv, code, text in pinned_text[fmt]:
+        lines = text.splitlines()
+        if fmt == "csv":
+            lines = [line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines]
+        digest.update(json.dumps([argv, code, lines]).encode())
+    assert digest.hexdigest() == PINNED_TEXT_SHA256[fmt]
