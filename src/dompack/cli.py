@@ -2,13 +2,14 @@
 
 Records are plain dicts built by `_record`, the one place a graph becomes a
 record; each subcommand adds only its own fields.  Every record, failed ones
-included, carries its graph's graph6, n and m, its GenSpec when `verify`
-generated the graph (so it replays bit-exactly), and its wall_time.  A
+included, carries its graph's graph6, n and m ("", 0 and 0 if none was made),
+its wall_time and, from `verify`, its GenSpec (so it replays bit-exactly).  A
 record that holds gamma and rho solved each of them once (once more per X
 set).  `_Output` writes each record as soon as it is made, as a JSON line, an
 aligned table row or a CSV row, and ends with a summary, which returns the
-exit status: 1 when any record failed (a bound violation, an invalid
-certificate, or a lemma falsification).  Bad input exits 2.
+exit status: 1 when any record failed (a bound violation, a construct input
+outside its class, a failed generator, or a lemma falsification).  Bad input
+exits 2.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .recognition import (
     find_homogeneous_ordering,
     find_simple_elimination_ordering,
     is_chordal_bipartite,
-    is_tree,
 )
 from .solvers import exact_domination, exact_packing
 
@@ -90,10 +90,15 @@ class _Output:
     Counts the records and the failed ones (`passed` false) as it goes, so no
     command keeps its records.  The table or CSV header goes out with the
     first line; when an error stops a run, the records made so far stay
-    written.
+    written.  Table and CSV rows hold a record's `COLUMNS` ("" where absent);
+    the table cuts graph6 to 24 characters and drops wall_time.  No column
+    can hold a comma, a quote or a newline, so CSV needs no quoting: graph6
+    uses characters 63-126, the rest are ints, "a/b", booleans and floats.
     """
 
-    CSV_COLUMNS = ["graph6", "n", "m", "gamma", "rho", "gamma_f", "ratio", "passed", "wall_time"]
+    COLUMNS = ("graph6", "n", "m", "gamma", "rho", "gamma_f", "ratio", "passed", "wall_time")
+    # A table row: every column but wall_time, under a header naming passed "pass".
+    ROW = "{:<24.24} {:>3} {:>4} {:>5} {:>4} {:>8} {:>6} {:>5}"
 
     def __init__(self, args):
         self.records = self.failures = 0
@@ -102,24 +107,10 @@ class _Output:
         self._name = args.out or "stdout"
         self._header = ""
         if self._fmt == "csv":
-            import csv
-            import io
-
-            self._buf = io.StringIO()
-            self._csv = csv.writer(self._buf)
-            self._header = self._csv_row(self.CSV_COLUMNS) + "\n"
+            self._header = ",".join(self.COLUMNS) + "\n"
         elif self._fmt == "table":
-            header = (
-                f"{'graph6':<24} {'n':>3} {'m':>4} {'gamma':>5} {'rho':>4} "
-                f"{'gamma_f':>8} {'ratio':>6} {'pass':>5}"
-            )
+            header = self.ROW.format(*self.COLUMNS[:-2], "pass")
             self._header = header + "\n" + "-" * len(header) + "\n"
-
-    def _csv_row(self, row: list) -> str:
-        self._buf.seek(0)
-        self._buf.truncate()
-        self._csv.writerow(row)
-        return "\n".join(self._buf.getvalue().splitlines())
 
     def _write(self, text: str, flush: bool = False) -> None:
         try:
@@ -135,15 +126,9 @@ class _Output:
         self.failures += not rec["passed"]
         if self._fmt == "json":
             self._write(json.dumps(rec, sort_keys=True))
-        elif self._fmt == "csv":
-            self._write(self._csv_row([rec.get(c, "") for c in self.CSV_COLUMNS]))
         else:
-            self._write(
-                f"{rec.get('graph6', '')[:24]:<24} {rec.get('n', ''):>3} {rec.get('m', ''):>4} "
-                f"{str(rec.get('gamma', '')):>5} {str(rec.get('rho', '')):>4} "
-                f"{str(rec.get('gamma_f', '')):>8} {str(rec.get('ratio', '')):>6} "
-                f"{str(rec.get('passed', '')):>5}"
-            )
+            row = [str(rec.get(c, "")) for c in self.COLUMNS]
+            self._write(",".join(row) if self._fmt == "csv" else self.ROW.format(*row[:-1]))
 
     def summary(self, summary: dict) -> int:
         """Write the summary; the exit status, 1 when any record failed."""
@@ -156,8 +141,15 @@ class _Output:
         return 1 if self.failures else 0
 
 
-def _open_out(path: str | None):
-    """Open --out before any instance is solved, so a bad path wastes no work."""
+def _open_out(args):
+    """Open --out before any instance is solved, so a bad path wastes no work.
+    --out naming the input file, which opening would empty, is an error."""
+    path, source = args.out, getattr(args, "input", None)
+    with contextlib.suppress(OSError):  # a missing file is not the input
+        if path and source:
+            held = os.fstat(sys.stdin.fileno()) if source == "-" else os.stat(source)
+            if os.path.samestat(held, os.stat(path)):
+                raise DompackError(f"--out {path} names the input file")
     try:
         return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -288,10 +280,13 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int, x_prob: float) -
 def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
     t0 = time.perf_counter()
     fields = {"genspec": dataclasses.asdict(spec), "bound": bound}
-    if spec.family == "chordal-bipartite":
-        g, fields["gen_attempts"] = gen_chordal_bipartite_with_stats(spec)
-    else:
-        g = generate(spec)
+    try:
+        if spec.family == "chordal-bipartite":
+            g, fields["gen_attempts"] = gen_chordal_bipartite_with_stats(spec)
+        else:
+            g = generate(spec)
+    except DompackError as exc:  # fails this record only, which has no graph
+        return _record(None, t0, passed=False, error=str(exc), **fields)
     gamma = exact_domination(g).value
     rho = exact_packing(g).value
     passed = gamma <= bound * rho
@@ -328,7 +323,7 @@ def cmd_verify(args) -> int:
     x_samples = args.x_samples if cls == "planar" else 0
     out = _Output(args)
     worst = Fraction(0)
-    generated = attempts = 0  # chordal-bipartite graphs and generator attempts
+    errors = generated = attempts = 0  # error records; chordal-bipartite graphs, their attempts
     with contextlib.ExitStack() as stack:
         solve = map
         if args.jobs > 1:
@@ -338,6 +333,9 @@ def cmd_verify(args) -> int:
             solve = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
         for rec in solve(_verify_one, specs, repeat(bound), repeat(x_samples)):
             out.record(rec)
+            if "error" in rec:
+                errors += 1
+                continue
             worst = max(worst, Fraction(rec["ratio"]))
             if "gen_attempts" in rec:
                 generated += 1
@@ -347,9 +345,11 @@ def cmd_verify(args) -> int:
         "class": cls,
         "bound": str(bound),
         "instances": out.records,
-        "violations": out.failures,
+        "violations": out.failures - errors,
         "max_ratio": str(worst),
     }
+    if errors:
+        summary["errors"] = errors
     if generated:
         summary["generator_acceptance"] = round(generated / attempts, 4)
     return out.summary(summary)
@@ -366,8 +366,6 @@ def cmd_construct(args) -> int:
         t0 = time.perf_counter()
         try:
             if cls == "tree":
-                if not is_tree(g):
-                    raise DompackError("input is not a tree")
                 cert = tree_dompack(g, args.root)
             elif cls == "strongly-chordal":
                 ordering = find_simple_elimination_ordering(g)
@@ -385,15 +383,14 @@ def cmd_construct(args) -> int:
         except DompackError as exc:
             out.record(_record(g, t0, passed=False, error=str(exc)))
             continue
-        # |P| <= rho <= gamma <= |D|, so a valid certificate with |D| = |P| settles both.
-        settled = cert.valid and len(cert.d) == len(cert.p)
+        # A returned certificate is valid, and |P| <= rho <= gamma <= |D|.
+        settled = len(cert.d) == len(cert.p)
         out.record(_record(
             g, t0,
             certificate=cert.to_dict(),
             gamma=len(cert.d) if settled else exact_domination(g).value,
             rho=len(cert.p) if settled else exact_packing(g).value,
             bound=cert.bound_constant,
-            passed=cert.valid and len(cert.d) <= cert.bound_constant * len(cert.p),
         ))
     return out.summary({"class": cls, "instances": out.records, "failures": out.failures})
 
@@ -523,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with _open_out(args.out) as args.stream:
+        with _open_out(args) as args.stream:
             return args.func(args)
     except DompackError as exc:
         print(f"error: {exc}", file=sys.stderr)

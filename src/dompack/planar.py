@@ -294,7 +294,10 @@ def random_planar(seed: int, n: int, m: int) -> Graph:
 
 
 def random_planar_embedding(seed: int, n: int, m: int) -> PlanarEmbedding:
-    """Like random_planar but keeps the (restricted) rotation system."""
+    """Planar graph with its rotation system: random_planar's maximal planar
+    graph for `seed`, cut to the m edges at random_planar's drawn positions
+    but in insertion order rather than sorted (so in general another graph),
+    each rotation restricted to the kept edges."""
     rng, work = _seeded_maximal_planar(seed, n, m)
     total = len(work.edges)
     keep_idx = sorted(rng.sample(range(total), m)) if m < total else list(range(total))

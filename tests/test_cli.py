@@ -17,6 +17,10 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def strip_wall_time(out):
+    return [line.split('"wall_time"')[0] for line in out.splitlines()]
+
+
 def json_records(out):
     records = [json.loads(line) for line in out.strip().splitlines()]
     summary = records[-1]["summary"]
@@ -230,6 +234,34 @@ def test_verify_jobs_match_sequential(capsys):
             assert all(field in rec for rec in strip(out2)[0]), cls
 
 
+def test_verify_instance_errors_fail_only_their_records(capsys, monkeypatch):
+    # A generator that runs out of attempts fails its own record; the
+    # campaign goes on and exits 1, and the record replays to the same error.
+    import multiprocessing
+
+    import dompack.generators
+    from dompack.errors import GenerationBudgetError
+
+    monkeypatch.setattr(dompack.generators, "_CB_ATTEMPTS", 1)
+    args = ["verify", "--class", "chordal-bipartite", "--count", "20", "--format", "json"]
+    code, out = run_cli(capsys, *args)
+    assert code == 1
+    if multiprocessing.get_start_method() == "fork":  # the workers inherit the patch
+        code, out_jobs = run_cli(capsys, *args, "--jobs", "2")
+        assert code == 1 and strip_wall_time(out_jobs) == strip_wall_time(out)
+    records, summary = json_records(out)
+    errors = [rec for rec in records if "error" in rec]
+    assert len(records) == 20 and 0 < len(errors) < 20
+    assert summary["errors"] == len(errors) and summary["violations"] == 0
+    assert all(rec["passed"] for rec in records if "error" not in rec)
+    for rec in errors:
+        assert rec["error"] == "no chordal bipartite instance in 1 attempts"
+        assert (rec["graph6"], rec["n"], rec["m"], rec["bound"]) == ("", 0, 0, "2")
+        assert "ratio" not in rec and not rec["passed"]
+        with pytest.raises(GenerationBudgetError, match=rec["error"]):
+            generate(GenSpec(**rec["genspec"]))
+
+
 def test_construct_tree(capsys, tmp_path):
     path = tmp_path / "t.g6"
     path.write_text(emit_graph6(gen_named("P7")) + "\n")
@@ -434,6 +466,26 @@ def test_bad_out_path_fails_before_any_solve(capsys, monkeypatch, tmp_path):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "source, out", [("g.g6", "g.g6"), ("g.g6", "./g.g6"), ("g.g6", "link.g6"), ("-", "g.g6")]
+)
+@pytest.mark.parametrize("command", [["compute"], ["construct", "--class", "tree"]])
+def test_out_naming_the_input_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, command, source, out
+):
+    # Opening --out for writing would empty the input before it is read.
+    monkeypatch.chdir(tmp_path)
+    text = emit_graph6(gen_named("P4")) + "\n"
+    (tmp_path / "g.g6").write_text(text)
+    (tmp_path / "link.g6").symlink_to("g.g6")
+    with open(tmp_path / "g.g6") as stdin:  # read by the "-" source
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(command + [source, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out") and captured.out == ""
+    assert (tmp_path / "g.g6").read_text() == text
+
+
 def test_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("DOMPACK_SEED", "31")
     _, out1 = run_cli(capsys, "verify", "--class", "tree", "--count", "3", "--format", "json")
@@ -567,3 +619,13 @@ def test_table_and_csv_output_is_pinned(pinned_text, fmt):
             lines = [line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines]
         digest.update(json.dumps([argv, code, lines]).encode())
     assert digest.hexdigest() == PINNED_TEXT_SHA256[fmt]
+
+
+def test_csv_rows_need_no_quoting(pinned_text):
+    # Every CSV row splits on commas into exactly the columns it writes.
+    from dompack.cli import _Output
+
+    for _, _, text in pinned_text["csv"]:
+        for line in text.splitlines():
+            if not line.startswith("#"):
+                assert len(line.split(",")) == len(_Output.COLUMNS), line
