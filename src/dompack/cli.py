@@ -34,7 +34,7 @@ from .constructions import (
     strongly_chordal_dompack,
     tree_dompack,
 )
-from .errors import DompackError
+from .errors import DompackError, GenerationBudgetError
 from .generators import GenSpec, derive_seed, gen_chordal_bipartite_with_stats, generate
 from .graph import MAX_VERTICES, Graph, VertexSet, greedy_maximal_independent_set
 from .lp import verify_sandwich
@@ -286,6 +286,8 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
         else:
             g = generate(spec)
     except DompackError as exc:  # fails this record only, which has no graph
+        if isinstance(exc, GenerationBudgetError):
+            fields["gen_attempts"] = exc.attempts
         return _record(None, t0, passed=False, error=str(exc), **fields)
     gamma = exact_domination(g).value
     rho = exact_packing(g).value
@@ -323,7 +325,7 @@ def cmd_verify(args) -> int:
     x_samples = args.x_samples if cls == "planar" else 0
     out = _Output(args)
     worst = Fraction(0)
-    errors = generated = attempts = 0  # error records; chordal-bipartite graphs, their attempts
+    errors = generated = attempts = 0  # error records; chordal-bipartite graphs, all attempts
     with contextlib.ExitStack() as stack:
         solve = map
         if args.jobs > 1:
@@ -333,13 +335,13 @@ def cmd_verify(args) -> int:
             solve = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
         for rec in solve(_verify_one, specs, repeat(bound), repeat(x_samples)):
             out.record(rec)
+            attempts += rec.get("gen_attempts", 0)
             if "error" in rec:
                 errors += 1
                 continue
             worst = max(worst, Fraction(rec["ratio"]))
             if "gen_attempts" in rec:
                 generated += 1
-                attempts += rec["gen_attempts"]
 
     summary = {
         "class": cls,
@@ -350,7 +352,7 @@ def cmd_verify(args) -> int:
     }
     if errors:
         summary["errors"] = errors
-    if generated:
+    if attempts:
         summary["generator_acceptance"] = round(generated / attempts, 4)
     return out.summary(summary)
 

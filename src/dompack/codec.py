@@ -1,67 +1,80 @@
 """graph6 and JSON edge-list serialization.
 
-graph6 follows the de-facto standard bit-packed format: the vertex count as
-N(n), then the upper triangle of the adjacency matrix in column-major order,
-packed into 6-bit chunks offset by 63.  The JSON format is
-{"n": int, "edges": [[u, v], ...]}.
+graph6 (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt) writes
+N(n), then the pair-mask six bits to a character offset by 63, pair 0 first.
+Pair (i, j), i < j, is bit j(j-1)/2 + i of the pair-mask: the upper triangle
+in column-major order, the layout `all_graphs` enumerates.  The JSON format
+is {"n": int, "edges": [[u, v], ...]}.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import ParseError
-from .graph import MAX_VERTICES, Graph
+from .errors import GraphError, ParseError
+from .graph import MAX_VERTICES, Graph, _mask_bits
 
 _HEADER = ">>graph6<<"
 
 
+def _adjacency(mask: int, n: int) -> list[int]:
+    """The adjacency masks of the graph whose pair-mask is `mask` on n vertices."""
+    adj = [0] * n
+    for j in range(1, n):
+        column = mask >> j * (j - 1) // 2 & ((1 << j) - 1)
+        adj[j] = column
+        for i in _mask_bits(column):
+            adj[i] |= 1 << j
+    return adj
+
+
+def _mask_to_graph(mask: int, n: int) -> Graph:
+    adj = _adjacency(mask, n)
+    return Graph(n, [(i, j) for j in range(n) for i in _mask_bits(adj[j] & ((1 << j) - 1))])
+
+
+def _encode(value: int, length: int) -> str:
+    """`value` as `length` graph6 characters, six bits each, high bits first."""
+    return "".join(chr((value >> s & 0x3F) + 63) for s in range(6 * length - 6, -1, -6))
+
+
+def _decode(chars: str, field: str) -> int:
+    """The value of graph6 `field` characters, six bits each, high bits first."""
+    value = 0
+    for ch in chars:
+        c = ord(ch) - 63
+        if not 0 <= c <= 0x3F:
+            raise ParseError(f"invalid graph6 {field} character {ch!r}")
+        value = value << 6 | c
+    return value
+
+
 def _encode_count(n: int) -> str:
-    if n <= 62:
-        return chr(n + 63)
-    # 63 <= n <= 258047: '~' then 18 bits in three 6-bit chunks
-    return "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
+    # 63 <= n <= 258047: '~' then 18 bits in three characters
+    return _encode(n, 1) if n <= 62 else "~" + _encode(n, 3)
 
 
 def _decode_count(text: str) -> tuple[int, int]:
     """Return (n, chars consumed)."""
     if not text:
         raise ParseError("empty graph6 string")
-    c = ord(text[0])
-    if c != 126:
-        if not 63 <= c <= 126:
-            raise ParseError(f"invalid graph6 size character {text[0]!r}")
-        return c - 63, 1
-    if len(text) >= 2 and ord(text[1]) == 126:
+    if text[0] != "~":
+        return _decode(text[0], "size"), 1
+    if text[1:2] == "~":
         raise ParseError("graph6 sizes beyond 258047 are not supported")
     if len(text) < 4:
         raise ParseError("truncated graph6 size field")
-    n = 0
-    for ch in text[1:4]:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise ParseError(f"invalid graph6 size character {ch!r}")
-        n = (n << 6) | (c - 63)
-    return n, 4
+    return _decode(text[1:4], "size"), 4
 
 
 def emit_graph6(g: Graph) -> str:
     n = g.n
-    out = [_encode_count(n)]
-    bits = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adjacency_mask(j)
-        for i in range(j):
-            bits = (bits << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(bits + 63))
-                bits = nbits = 0
-    if nbits:
-        bits <<= 6 - nbits
-        out.append(chr(bits + 63))
-    return "".join(out)
+    mask = 0
+    for j in range(n - 1, 0, -1):  # column j lands at bit j(j-1)/2
+        mask = mask << j | g.adjacency_mask(j) & ((1 << j) - 1)
+    length = (n * (n - 1) // 2 + 5) // 6
+    # Reversed over the body's 6 * length bits, pair 0 is the first bit written.
+    return _encode_count(n) + _encode(int(format(mask, f"0{6 * length}b")[::-1], 2), length)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -74,29 +87,14 @@ def parse_graph6(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise ParseError(f"graph6 vertex count {n} exceeds the {MAX_VERTICES} cap")
     body = s[used:]
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) != need:
-        raise ParseError(
-            f"graph6 body length {len(body)} does not match n={n} (expected {need})"
-        )
-    bits = []
-    for ch in body:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise ParseError(f"invalid graph6 data character {ch!r}")
-        v = c - 63
-        bits.extend(((v >> k) & 1) for k in (5, 4, 3, 2, 1, 0))
     npairs = n * (n - 1) // 2
-    if any(bits[npairs:]):
+    need = (npairs + 5) // 6
+    if len(body) != need:
+        raise ParseError(f"graph6 body length {len(body)} does not match n={n} (expected {need})")
+    mask = int(format(_decode(body, "data"), f"0{6 * need}b")[::-1], 2)
+    if mask >> npairs:
         raise ParseError("nonzero padding bits in graph6 body")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    return _mask_to_graph(mask, n)
 
 
 def emit_edge_json(g: Graph) -> str:
@@ -123,13 +121,14 @@ def parse_edge_json(text: str) -> Graph:
         edges.append((item[0], item[1]))
     try:
         return Graph(n, edges)
-    except Exception as exc:  # self-loop, duplicate, range: all non-simple input
+    except GraphError as exc:  # self-loop, duplicate, range: all non-simple input
         raise ParseError(str(exc)) from exc
 
 
 def parse_graph(text: str) -> Graph:
-    """Sniff a single-line graph: JSON object or graph6 string."""
+    """Sniff a single-line graph: edge JSON when `{` is followed by a character
+    outside graph6's 63..126, as a quote or a blank is, else graph6 (n = 60 is `{`)."""
     s = text.strip()
-    if s.startswith("{"):
+    if s[:1] == "{" and len(s) > 1 and not "?" <= s[1] <= "~":
         return parse_edge_json(s)
     return parse_graph6(s)

@@ -30,4 +30,11 @@ class ConstructionError(DompackError, RuntimeError):
 
 
 class GenerationBudgetError(DompackError, RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
+    """Rejection sampling exhausted its budget of `attempts` attempts."""
+
+    def __init__(self, message: str, attempts: int):
+        super().__init__(message)
+        self.attempts = attempts
+
+    def __reduce__(self):  # a process pool pickles what its workers raise
+        return type(self), (str(self), self.attempts)

@@ -15,6 +15,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
+from .codec import _adjacency, _mask_to_graph
 from .errors import GenerationBudgetError, GraphError
 from .graph import Graph, _mask_bits
 from .recognition import (
@@ -120,7 +121,9 @@ def gen_chordal_bipartite_with_stats(spec: GenSpec) -> tuple[Graph, int]:
         g = Graph(n, edges)
         if is_chordal_bipartite(g):
             return g, attempt
-    raise GenerationBudgetError(f"no chordal bipartite instance in {_CB_ATTEMPTS} attempts")
+    raise GenerationBudgetError(
+        f"no chordal bipartite instance in {_CB_ATTEMPTS} attempts", _CB_ATTEMPTS
+    )
 
 
 def gen_distance_hereditary(spec: GenSpec) -> Graph:
@@ -338,18 +341,6 @@ def _tree_level(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     return tuple(found.values()), tuple(found[key] for key in sorted(found))
 
 
-def _adjacency(mask: int, n: int) -> list[int]:
-    """The adjacency masks of the graph whose pair-mask is `mask` on n vertices."""
-    # Pair (i, j), i < j, is bit j(j-1)/2 + i: column-major, the graph6 bit order.
-    adj = [0] * n
-    for j in range(1, n):
-        column = mask >> j * (j - 1) // 2 & ((1 << j) - 1)
-        adj[j] = column
-        for i in _mask_bits(column):
-            adj[i] |= 1 << j
-    return adj
-
-
 def _canonical_mask(mask: int, n: int) -> int:
     """Minimum pair-mask over all n! vertex relabelings: the canonical form of
     `all_graphs`, which calls it for n <= 7 (exact for any n).
@@ -398,11 +389,6 @@ def _canonical_mask(mask: int, n: int) -> int:
     return least([(1 << n) - 1], n - 1) if n > 1 else 0
 
 
-def _mask_to_graph(mask: int, n: int) -> Graph:
-    adj = _adjacency(mask, n)
-    return Graph(n, [(i, j) for j in range(n) for i in _mask_bits(adj[j] & ((1 << j) - 1))])
-
-
 def _automorphisms(adj: list[int]) -> list[tuple[int, ...]]:
     """Every automorphism of the graph with adjacency masks `adj`, as the
     tuple of the images of 0..n-1, by backtracking over degree-preserving maps
@@ -434,7 +420,7 @@ def all_graphs(n: int) -> list[Graph]:
     Level k graphs come from attaching a new vertex of maximum degree to the
     level k-1 representatives, once per automorphism orbit of its possible
     neighbourhoods, then deduplicating by the canonical form `_canonical_mask`:
-    the minimum pair-mask (edge i < j at bit j(j-1)/2 + i) over all vertex
+    the minimum pair-mask (the graph6 bit layout, see `codec`) over all vertex
     relabelings.  Each representative is the graph of its canonical mask,
     returned in increasing mask order.  Each level is built once per process.
     """

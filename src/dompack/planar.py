@@ -547,5 +547,6 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
             if core.min_degree() >= 4:
                 return core
     raise GenerationBudgetError(
-        f"no min-degree-4 core of size >= {_MIN_CORE} in {_MIN_DEGREE4_ATTEMPTS} attempts"
+        f"no min-degree-4 core of size >= {_MIN_CORE} in {_MIN_DEGREE4_ATTEMPTS} attempts",
+        _MIN_DEGREE4_ATTEMPTS,
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dompack import emit_graph6, gen_named, parse_graph6
+from dompack import Graph, emit_graph6, gen_named, parse_graph6
 from dompack.cli import main
 from dompack.generators import GenSpec, generate
 
@@ -253,10 +253,13 @@ def test_verify_instance_errors_fail_only_their_records(capsys, monkeypatch):
     errors = [rec for rec in records if "error" in rec]
     assert len(records) == 20 and 0 < len(errors) < 20
     assert summary["errors"] == len(errors) and summary["violations"] == 0
+    # Every attempt counts, the failed instances' too: one per instance here.
+    assert summary["generator_acceptance"] == round((20 - len(errors)) / 20, 4)
     assert all(rec["passed"] for rec in records if "error" not in rec)
     for rec in errors:
         assert rec["error"] == "no chordal bipartite instance in 1 attempts"
         assert (rec["graph6"], rec["n"], rec["m"], rec["bound"]) == ("", 0, 0, "2")
+        assert rec["gen_attempts"] == 1
         assert "ratio" not in rec and not rec["passed"]
         with pytest.raises(GenerationBudgetError, match=rec["error"]):
             generate(GenSpec(**rec["genspec"]))
@@ -542,6 +545,17 @@ def test_stdin_edge_json(src_env):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.splitlines()[0])["gamma"] == 2
+
+
+def test_stdin_graph6_on_60_vertices(capsys, monkeypatch):
+    # graph6 writes n = 60 as '{'; the line is still graph6, not edge JSON.
+    line = emit_graph6(Graph(60, [(i, i + 1) for i in range(59)]))
+    assert line.startswith("{")
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out = run_cli(capsys, "compute", "-", "--format", "json")
+    assert code == 0
+    records, _ = json_records(out)
+    assert (records[0]["n"], records[0]["gamma"], records[0]["rho"]) == (60, 20, 20)
 
 
 CLASSES = (

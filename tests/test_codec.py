@@ -40,8 +40,9 @@ def test_round_trip_on_random_corpus():
 
 
 def test_cross_check_against_networkx():
-    for i in range(300):
-        n = 1 + i % 30
+    # n = 59..64 spans the '{', '|', '}' and '~' size forms; 512 is the cap.
+    sizes = [1 + i % 30 for i in range(300)] + [59, 60, 61, 62, 63, 64, 100, 512]
+    for i, n in enumerate(sizes):
         g = gen_gnp(GenSpec("gnp", n, derive_seed(1001, i), {"edge_prob": 0.4}))
         s = emit_graph6(g)
         h = nx.from_graph6_bytes(s.encode())
@@ -104,3 +105,10 @@ def test_edge_json_rejects_non_simple():
 def test_parse_graph_sniffs_format():
     assert parse_graph("C~").m == 6
     assert parse_graph('{"n": 2, "edges": [[0, 1]]}').m == 1
+    assert parse_graph('{ "n": 2, "edges": [[0, 1]]}').m == 1
+    # graph6 writes n = 60 as '{', followed by a body character.
+    path = Graph(60, [(i, i + 1) for i in range(59)])
+    assert parse_graph(emit_graph6(path)).edges() == path.edges()
+    for text in ("{}", "{"):
+        with pytest.raises(ParseError, match="graph6 body length"):
+            parse_graph(text)

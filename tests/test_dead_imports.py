@@ -87,3 +87,27 @@ def test_no_private_definition_goes_unread():
     # A kernel replaced by a shared one must leave no uncalled copy behind.
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_definitions(sources) == []
+
+
+def shared_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level names that more than one of `sources` defines."""
+    modules: dict[str, set[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            for name in bound_names(node):
+                modules.setdefault(name, set()).add(module)
+    return sorted(name for name, where in modules.items() if len(where) > 1)
+
+
+def test_guard_sees_a_shared_definition():
+    sources = {
+        "a": "def _adjacency(mask, n): pass\n_LIMIT = 3\n_LIMIT = 4\n",
+        "b": "def _adjacency(mask, n): pass\nx = _adjacency(0, 1)\n",
+    }
+    assert shared_definitions(sources) == ["_adjacency"]
+
+
+def test_no_name_is_defined_in_two_modules():
+    # One copy of each kernel: a copy left behind and still called in its old
+    # module escapes the unread-definition guard above, but not this one.
+    assert shared_definitions({p.stem: p.read_text() for p in MODULES}) == []

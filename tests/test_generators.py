@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -19,9 +20,9 @@ from dompack import (
     is_tree,
 )
 from dompack import generators
+from dompack.codec import _adjacency
 from dompack.generators import (
     GenSpec,
-    _adjacency,
     _automorphisms,
     _canonical_mask,
     all_graphs,
@@ -80,8 +81,11 @@ def test_gen_chordal_bipartite(monkeypatch):
     # mid-density bipartite graphs on 16 vertices almost always contain a
     # chordless 6-cycle, so a 2-attempt budget runs out
     monkeypatch.setattr(generators, "_CB_ATTEMPTS", 2)
-    with pytest.raises(GenerationBudgetError):
+    with pytest.raises(GenerationBudgetError) as info:
         gen_chordal_bipartite(GenSpec("chordal-bipartite", 16, 0, {"edge_prob": 0.5}))
+    assert info.value.attempts == 2
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.attempts) == (str(info.value), 2)
 
 
 def test_gen_distance_hereditary():
