@@ -596,6 +596,26 @@ def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
+# One round of the benchmark's `lemmas` workload at seed 1.
+LEMMA_ROUND = (("triangulate", 200, 0), ("discharge", 70, 1), ("charge-audit", 400, 1))
+# sha256 of LEMMA_ROUND's exit codes and JSON output, wall_time stripped: a
+# faster planar layer must check the same instances with the same answers.
+PINNED_LEMMA_ROUND_SHA256 = "873fb8a673ed0d1451f473efa402d472b02133f996f110e9013bde363534baad"
+
+
+def test_lemma_round_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for lemma, count, seed in LEMMA_ROUND:
+        argv = ["lemmacheck", "--lemma", lemma, "--count", str(count), "--seed", str(seed),
+                "--format", "json"]
+        code, out = run_cli(capsys, *argv)
+        lines = [json.loads(line) for line in out.splitlines()]
+        for rec in lines:
+            rec.pop("wall_time", None)
+        digest.update(json.dumps([argv, code, lines], sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_LEMMA_ROUND_SHA256
+
+
 @pytest.fixture(scope="module")
 def pinned_text(tmp_path_factory):
     """{format: [(argv, exit code, output)]}: PINNED_RUNS as table and as CSV."""

@@ -6,10 +6,12 @@ import random
 import sys
 from fractions import Fraction
 
+import charge_reference
 import flip_reference
 import pytest
 
 from dompack import (
+    ChargeLedger,
     EmbeddingError,
     GraphError,
     PlanarEmbedding,
@@ -334,13 +336,101 @@ def test_embedding_euler_check_counts_components():
     assert len(emb.faces) == 6
 
 
-def test_embedding_rejects_malformed():
-    with pytest.raises(EmbeddingError):
-        PlanarEmbedding(2, [(0, 1)], [[0], []])  # dart 1 missing
-    with pytest.raises(EmbeddingError):
-        PlanarEmbedding(2, [(0, 0)], [[0, 1], []])  # self-loop
-    with pytest.raises(EmbeddingError):
-        PlanarEmbedding(2, [(0, 1)], [[1], [0]])  # darts at wrong vertices
+@pytest.mark.parametrize(
+    "n, edges, rotation, message",
+    [
+        (2, [(0, 1)], [[0, 1]], "rotation must list every vertex"),
+        (2, [(0, 0)], [[0, 1], []], "self-loops are not allowed"),
+        (2, [(0, 2)], [[0], [1]], r"edge \(0,2\) outside 0\.\.1"),
+        (2, [(0, 1)], [[0], [2]], "dart 2 missing or repeated"),
+        (2, [(0, 1)], [[-1], [1]], "dart -1 missing or repeated"),
+        (2, [(0, 1)], [[0, 0], [1]], "dart 0 missing or repeated"),
+        (2, [(0, 1)], [[1], [0]], "dart 1 listed at the wrong vertex"),
+        (2, [(0, 1)], [[0], []], "some darts are absent from the rotation"),
+        (
+            4,
+            [(0, 1), (1, 2), (2, 0), (1, 3), (0, 3), (2, 3)],
+            [[8, 0, 5], [2, 6, 1], [4, 10, 3], [9, 7, 11]],
+            r"rotation system is not planar \(Euler check failed\)",
+        ),
+    ],
+)
+def test_embedding_rejects_malformed(n, edges, rotation, message):
+    with pytest.raises(EmbeddingError, match=message):
+        PlanarEmbedding(n, edges, rotation)
+
+
+def reference_faces(emb):
+    """Faces by the definition: from each unused dart in increasing order,
+    step from d to the dart after d ^ 1 in the rotation at its tail."""
+    used = set()
+    faces = []
+    for d0 in range(2 * len(emb.edges)):
+        if d0 in used:
+            continue
+        walk, d = [], d0
+        while not walk or d != d0:
+            walk.append(d)
+            used.add(d)
+            darts = emb.rotation[emb.edges[(d ^ 1) >> 1][(d ^ 1) & 1]]
+            d = darts[(darts.index(d ^ 1) + 1) % len(darts)]
+        faces.append(tuple(walk))
+    return tuple(faces)
+
+
+def test_faces_match_reference_walk():
+    # Cut-down draws, their triangulations (parallel edges among them) and
+    # maximal planar embeddings, with Euler's formula on each connected one.
+    checked = parallel = 0
+    for attempt in range(120):
+        rng = random.Random(derive_seed(1503, attempt))
+        n = rng.randrange(4, 30)
+        m = rng.randrange(n - 3, 3 * n - 5)
+        emb = random_planar_embedding(derive_seed(1504, attempt), n, m)
+        corpus = [emb, embed_maximal_planar(attempt, n)]
+        g = emb.graph()
+        if g.is_connected() and g.min_degree() >= 2:
+            tri = triangulate_preserving_independent(emb, greedy_maximal_independent_set(g))
+            corpus.append(tri)
+            parallel += not tri.is_simple()
+        for e in corpus:
+            assert e.faces == reference_faces(e)
+            checked += 1
+    assert checked >= 250 and parallel >= 10
+
+
+def test_graph_of_an_embedding_with_a_parallel_edge_is_refused():
+    # Two triangles on one doubled edge: a valid embedding, not a simple graph.
+    emb = PlanarEmbedding(3, [(0, 1), (1, 2), (2, 0), (0, 1)], [[0, 5, 6], [2, 1, 7], [4, 3]])
+    assert not emb.is_simple()
+    with pytest.raises(GraphError):
+        emb.graph()
+
+
+def ledger_with_types(ledger):
+    """Every field of a ChargeLedger as (type, value) leaves."""
+
+    def leaves(x):
+        if isinstance(x, tuple):
+            return (tuple, tuple([leaves(item) for item in x]))
+        return (type(x), x)
+
+    return [leaves(getattr(ledger, f)) for f in ChargeLedger.__dataclass_fields__]
+
+
+def test_charge_audit_matches_fraction_reference(icosahedron):
+    cases = [(icosahedron, VertexSet(12, [0, 6])), (embed_maximal_planar(0, 4), VertexSet(4, [1]))]
+    for seed in range(220):
+        n = 4 + seed % 57
+        emb = embed_maximal_planar(derive_seed(1505, seed), n)
+        low = VertexSet(n, [v for v in range(n) if emb.degree(v) <= 7])
+        cases.append((emb, greedy_maximal_independent_set(emb.graph(), low)))
+    with_transfers = 0
+    for emb, low in cases:
+        ledger = charge_audit(emb, low)
+        assert ledger_with_types(ledger) == ledger_with_types(charge_reference.charge_audit(emb, low))
+        with_transfers += bool(ledger.transfers)
+    assert with_transfers > 20
 
 
 def test_incremental_flip_matches_rebuild_reference():
