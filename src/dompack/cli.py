@@ -43,6 +43,7 @@ from .planar import (
     embed_maximal_planar,
     find_low_degree_edge,
     random_min_degree4_planar,
+    random_planar_edges,
     random_planar_embedding,
     triangulate_preserving_independent,
 )
@@ -401,15 +402,18 @@ def cmd_construct(args) -> int:
 
 
 def _connected_min_degree2_embedding(seed: int, n_max: int):
+    """The first draw for `seed` whose graph is connected with minimum degree
+    >= 2, as an embedding and its graph.  Each draw's edge list is tested
+    before any embedding is built; only the accepted draw is grown again
+    from its seed and frozen."""
     for attempt in range(10_000):
         sub = derive_seed(seed, attempt)
         rng = random.Random(sub)
         n = rng.randrange(4, n_max + 1)
         m = rng.randrange(int(1.4 * n), 3 * n - 5)
-        emb = random_planar_embedding(sub, n, m)
-        g = emb.graph()
-        if g.is_connected() and g.min_degree() >= 2:
-            return emb, g
+        g = Graph(n, random_planar_edges(sub, n, m))
+        if g.min_degree() >= 2 and g.is_connected():
+            return random_planar_embedding(sub, n, m), g
     raise DompackError("could not generate a connected min-degree-2 planar graph")
 
 
@@ -427,9 +431,13 @@ def cmd_lemmacheck(args) -> int:
                 emb, g = _connected_min_degree2_embedding(sub, n_max)
                 ind = greedy_maximal_independent_set(g)
                 tri = triangulate_preserving_independent(emb, ind)
+                mask = ind.mask
                 ok = tri.is_triangulated()
-                ok = ok and not any(u in ind and v in ind for u, v in tri.edges)
-                ok = ok and all(tri.degree(v) >= g.degree(v) for v in range(g.n))
+                ok = ok and not any((mask >> u) & (mask >> v) & 1 for u, v in tri.edges)
+                ok = ok and all(  # no vertex loses degree; closed masks hold v itself
+                    len(darts) >= closed.bit_count() - 1
+                    for darts, closed in zip(tri.rotation, g.closed_masks)
+                )
                 fields = {"independent_set": sorted(ind)}
             elif args.lemma == "discharge":
                 g = random_min_degree4_planar(sub, 6 + (i % (max(n_max, 12) - 5)) + 6)
@@ -441,10 +449,10 @@ def cmd_lemmacheck(args) -> int:
                 n = rng.randrange(4, n_max + 1)
                 emb = embed_maximal_planar(sub, n)
                 g = emb.graph()
-                low = VertexSet(g.n, [v for v in range(g.n) if emb.degree(v) <= 7])
-                ind = greedy_maximal_independent_set(g, low)
+                low = sum(1 << v for v, darts in enumerate(emb.rotation) if len(darts) <= 7)
+                ind = greedy_maximal_independent_set(g, VertexSet.from_mask(n, low))
                 ledger = charge_audit(emb, ind)
-                ok = ledger.total == Fraction(-12) and len(ledger.negative_vertices) > 0
+                ok = ledger.total == -12 and len(ledger.negative_vertices) > 0
                 fields = {"total_charge": ledger.total, "transfers": len(ledger.transfers)}
         except DompackError as exc:
             ok, fields = False, {"error": str(exc)}

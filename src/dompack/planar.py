@@ -41,6 +41,37 @@ class TriangulationBlocked(DompackError, RuntimeError):
     """
 
 
+def _trace_faces(succ: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Faces in order of their least dart, each walked from that dart: the
+    step from dart d goes to succ[d ^ 1], the successor of d's reverse in
+    the rotation at its tail."""
+    consumed = [False] * len(succ)
+    faces = []
+    for d0, done in enumerate(consumed):
+        if done:
+            continue
+        walk = [d0]
+        consumed[d0] = True
+        d = succ[d0 ^ 1]
+        while d != d0:
+            if consumed[d]:
+                raise EmbeddingError("face walk revisited a consumed dart")
+            walk.append(d)
+            consumed[d] = True
+            d = succ[d ^ 1]
+        faces.append(tuple(walk))
+    return tuple(faces)
+
+
+def _component_count(adj: list[int]) -> int:
+    count = 0
+    left = (1 << len(adj)) - 1
+    while left:
+        left &= ~sum(_layers(adj, (left & -left).bit_length() - 1))
+        count += 1
+    return count
+
+
 class PlanarEmbedding:
     """Immutable rotation system with a derived face list (genus 0 enforced)."""
 
@@ -50,38 +81,50 @@ class PlanarEmbedding:
         edges: list[tuple[int, int]],
         rotation: list[list[int]],
     ):
+        """Validate in one pass over the edges and one over the darts, then
+        walk the faces and apply Euler's formula.
+
+        The edge pass rejects self-loops and endpoints outside 0..n-1 and
+        builds the neighbor masks that count the components.  The dart pass
+        rejects a dart out of range, repeated or listed at another vertex
+        than its tail, marking each dart it accepts, and records each dart's
+        successor in its rotation; a dart left unmarked is absent.
+        """
         if len(rotation) != n:
             raise EmbeddingError("rotation must list every vertex")
-        m = len(edges)
+        adj = [0] * n  # parallel edges set the same bit
         for u, v in edges:
             if u == v:
                 raise EmbeddingError("self-loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise EmbeddingError(f"edge ({u},{v}) outside 0..{n - 1}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
         # tuple() of a list, not of a generator: a generator's tuple starts
         # at 10 slots and is resized, which drifts CPython's tuple free lists.
         self.edges = tuple([tuple(e) for e in edges])
         self.rotation = tuple([tuple(r) for r in rotation])
 
-        seen = [False] * (2 * m)
-        # _pos[d] is the index of dart d in the rotation at its tail.
-        self._pos = [0] * (2 * m)
+        # tails[d] is the vertex dart d leaves, and -1 once d is listed.
+        tails = [x for e in self.edges for x in e]
+        darts_total = len(tails)
+        succ = [0] * darts_total
         for v, darts in enumerate(self.rotation):
-            for idx, d in enumerate(darts):
-                if not 0 <= d < 2 * m or seen[d]:
+            # darts[i] is the dart after d, cyclically: i runs 1 - len .. 0.
+            for i, d in enumerate(darts, 1 - len(darts)):
+                if not 0 <= d < darts_total or tails[d] < 0:
                     raise EmbeddingError(f"dart {d} missing or repeated")
-                if self.edges[d >> 1][d & 1] != v:  # tail(d)
+                if tails[d] != v:
                     raise EmbeddingError(f"dart {d} listed at the wrong vertex")
-                seen[d] = True
-                self._pos[d] = idx
-        if not all(seen):
+                tails[d] = -1
+                succ[d] = darts[i]
+        if tails.count(-1) != darts_total:
             raise EmbeddingError("some darts are absent from the rotation")
 
-        self.faces = self._trace_faces()
+        self.faces = _trace_faces(succ)
         iso = sum(1 for darts in self.rotation if not darts)
-        comps = self._component_count()
-        if self.n - m + len(self.faces) + iso != 2 * comps:
+        if n - darts_total // 2 + len(self.faces) + iso != 2 * _component_count(adj):
             raise EmbeddingError("rotation system is not planar (Euler check failed)")
 
     # -- dart helpers --------------------------------------------------------
@@ -93,42 +136,6 @@ class PlanarEmbedding:
         """Incident edge-ends, so parallel edges count with multiplicity."""
         return len(self.rotation[v])
 
-    def _trace_faces(self) -> tuple[tuple[int, ...], ...]:
-        """Faces in order of their least dart, each walked from that dart."""
-        edges, rotation, pos = self.edges, self.rotation, self._pos
-        consumed = [False] * len(pos)
-        faces = []
-        for d0 in range(len(consumed)):
-            if consumed[d0]:
-                continue
-            walk = []
-            d = d0
-            while True:
-                walk.append(d)
-                consumed[d] = True
-                # The next dart is the successor of d ^ 1 at its tail.
-                d ^= 1
-                darts = rotation[edges[d >> 1][d & 1]]
-                d = darts[(pos[d] + 1) % len(darts)]
-                if d == d0:
-                    break
-                if consumed[d]:
-                    raise EmbeddingError("face walk revisited a consumed dart")
-            faces.append(tuple(walk))
-        return tuple(faces)
-
-    def _component_count(self) -> int:
-        adj = [0] * self.n  # parallel edges set the same bit
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        count = 0
-        left = (1 << self.n) - 1
-        while left:
-            left &= ~sum(_layers(adj, (left & -left).bit_length() - 1))
-            count += 1
-        return count
-
     # -- views ---------------------------------------------------------------
 
     def is_triangulated(self) -> bool:
@@ -139,9 +146,9 @@ class PlanarEmbedding:
         return len(norm) == len(self.edges)
 
     def graph(self) -> Graph:
-        if not self.is_simple():
-            raise GraphError("embedding has parallel edges; read them from edges")
-        return Graph(self.n, list(self.edges))
+        """The simple graph of the edge list; a parallel edge raises
+        `GraphError` from `Graph`'s duplicate-edge check."""
+        return Graph(self.n, self.edges)
 
     # -- serialization -------------------------------------------------------
 
@@ -194,74 +201,54 @@ class PlanarEmbedding:
 
 
 class _MutableEmbedding:
-    """Dart-level workspace used by the builders; frozen on finish()."""
+    """Dart-level workspace used by the builders, which splice its rotations
+    in place; frozen on finish()."""
 
-    def __init__(self):
-        self.edges: list[tuple[int, int]] = [(0, 1), (1, 2), (2, 0)]
-        self.rot: list[list[int]] = [[0, 5], [2, 1], [4, 3]]
-        # Both faces of the starting triangle, as dart walks.
-        self.faces: list[list[int]] = [[0, 2, 4], [1, 5, 3]]
-
-    def tail(self, d: int) -> int:
-        return self.edges[d >> 1][d & 1]
-
-    def _insert_after(self, v: int, anchor: int, new: int) -> None:
-        idx = self.rot[v].index(anchor)
-        self.rot[v].insert(idx + 1, new)
-
-    def new_edge(self, u: int, v: int) -> int:
-        """Returns the dart u->v; v->u is its xor-1 partner."""
-        e = len(self.edges)
-        self.edges.append((u, v))
-        return 2 * e
-
-    def insert_vertex_in_face(self, face_idx: int) -> int:
-        da, db, dc = self.faces[face_idx]
-        a, b, c = self.tail(da), self.tail(db), self.tail(dc)
-        w = len(self.rot)
-        self.rot.append([])
-        ga = self.new_edge(a, w)
-        gb = self.new_edge(b, w)
-        gc = self.new_edge(c, w)
-        self._insert_after(a, dc ^ 1, ga)
-        self._insert_after(b, da ^ 1, gb)
-        self._insert_after(c, db ^ 1, gc)
-        self.rot[w] = [gb ^ 1, ga ^ 1, gc ^ 1]
-        self.faces[face_idx] = [da, gb, ga ^ 1]
-        self.faces.append([db, gc, gb ^ 1])
-        self.faces.append([dc, ga, gc ^ 1])
-        return w
-
-    def insert_chord(self, face_idx: int, j: int) -> None:
-        """Split face (d_0..d_{k-1}) with a chord tail(d_j) -> tail(d_j+2)."""
-        walk = self.faces[face_idx]
-        k = len(walk)
-        dj = walk[j]
-        dj1 = walk[(j + 1) % k]
-        dj2 = walk[(j + 2) % k]
-        djm1 = walk[(j - 1) % k]
-        x, z = self.tail(dj), self.tail(dj2)
-        h = self.new_edge(x, z)
-        self._insert_after(x, djm1 ^ 1, h)
-        self._insert_after(z, dj1 ^ 1, h ^ 1)
-        self.faces[face_idx] = [dj, dj1, h ^ 1]
-        rest = [h]
-        idx = (j + 2) % k
-        while walk[idx] != dj:
-            rest.append(walk[idx])
-            idx = (idx + 1) % k
-        self.faces.append(rest)
+    def __init__(
+        self,
+        edges: list[tuple[int, int]],
+        rot: list[list[int]],
+        faces: list[list[int]],
+    ):
+        self.edges = edges
+        self.rot = rot
+        self.faces = faces  # dart walks
 
     def finish(self) -> PlanarEmbedding:
         return PlanarEmbedding(len(self.rot), self.edges, self.rot)
 
 
 def _embed_maximal_planar(rng: random.Random, n: int) -> _MutableEmbedding:
-    work = _MutableEmbedding()
-    for _ in range(n - 3):
-        face_idx = rng.randrange(len(work.faces))
-        work.insert_vertex_in_face(face_idx)
-    return work
+    """A triangle and its two faces, then n - 3 times: a new vertex w in the
+    face rng.randrange(len(faces)) = (da, db, dc), with tails a, b, c.
+
+    The edges a-w, b-w and c-w are appended in that order, each with its
+    dart leaving a, b or c first; each goes into the rotation at its tail
+    after the reverse of the face dart entering that tail, and w's rotation
+    is the reverses in the order b, a, c.  The face becomes (da, b->w, w->a)
+    and (db, c->w, w->b), (dc, a->w, w->c) are appended.
+    """
+    edges = [(0, 1), (1, 2), (2, 0)]
+    rot = [[0, 5], [2, 1], [4, 3]]
+    faces = [[0, 2, 4], [1, 5, 3]]
+    for w in range(3, n):
+        face_idx = rng.randrange(len(faces))
+        da, db, dc = faces[face_idx]
+        a, b, c = edges[da >> 1][da & 1], edges[db >> 1][db & 1], edges[dc >> 1][dc & 1]
+        ga = 2 * len(edges)
+        gb, gc = ga + 2, ga + 4
+        edges += ((a, w), (b, w), (c, w))
+        darts = rot[a]
+        darts.insert(darts.index(dc ^ 1) + 1, ga)
+        darts = rot[b]
+        darts.insert(darts.index(da ^ 1) + 1, gb)
+        darts = rot[c]
+        darts.insert(darts.index(db ^ 1) + 1, gc)
+        rot.append([gb ^ 1, ga ^ 1, gc ^ 1])
+        faces[face_idx] = [da, gb, ga ^ 1]
+        faces.append([db, gc, gb ^ 1])
+        faces.append([dc, ga, gc ^ 1])
+    return _MutableEmbedding(edges, rot, faces)
 
 
 def embed_maximal_planar(seed: int, n: int) -> PlanarEmbedding:
@@ -293,22 +280,35 @@ def random_planar(seed: int, n: int, m: int) -> Graph:
     return Graph(n, keep)
 
 
+def _cut_maximal_planar(seed: int, n: int, m: int) -> tuple[_MutableEmbedding, list[int]]:
+    """random_planar's maximal planar graph for `seed` and the indices, in
+    insertion order, of the m edges at random_planar's drawn positions."""
+    rng, work = _seeded_maximal_planar(seed, n, m)
+    total = len(work.edges)
+    return work, sorted(rng.sample(range(total), m)) if m < total else list(range(total))
+
+
+def random_planar_edges(seed: int, n: int, m: int) -> list[tuple[int, int]]:
+    """The edge list of random_planar_embedding(seed, n, m), without building
+    its rotation system: the draw to test before freezing it."""
+    work, keep = _cut_maximal_planar(seed, n, m)
+    return [work.edges[e] for e in keep]
+
+
 def random_planar_embedding(seed: int, n: int, m: int) -> PlanarEmbedding:
     """Planar graph with its rotation system: random_planar's maximal planar
     graph for `seed`, cut to the m edges at random_planar's drawn positions
     but in insertion order rather than sorted (so in general another graph),
     each rotation restricted to the kept edges."""
-    rng, work = _seeded_maximal_planar(seed, n, m)
-    total = len(work.edges)
-    keep_idx = sorted(rng.sample(range(total), m)) if m < total else list(range(total))
-    keep_set = set(keep_idx)
-    remap = {old: new for new, old in enumerate(keep_idx)}
-    edges = [work.edges[old] for old in keep_idx]
+    work, keep = _cut_maximal_planar(seed, n, m)
+    remap = [-1] * len(work.edges)  # new index of each kept edge
+    for new, old in enumerate(keep):
+        remap[old] = new
     rotation = [
-        [2 * remap[d >> 1] + (d & 1) for d in darts if (d >> 1) in keep_set]
+        [2 * remap[d >> 1] + (d & 1) for d in darts if remap[d >> 1] >= 0]
         for darts in work.rot
     ]
-    return PlanarEmbedding(n, edges, rotation)
+    return PlanarEmbedding(n, [work.edges[e] for e in keep], rotation)
 
 
 # -- the triangulation lemma as an executable operation -----------------------
@@ -337,47 +337,56 @@ def triangulate_preserving_independent(
       once on the walk; two of them are consecutive on the cycle, hence
       adjacent, and at most one of them is in the independent set.
     """
-    if not emb.is_simple():
-        raise PreconditionError("triangulation input must be simple")
-    g = emb.graph()
+    try:
+        g = emb.graph()
+    except GraphError:
+        if emb.is_simple():  # n outside Graph's range: not a precondition
+            raise
+        raise PreconditionError("triangulation input must be simple") from None
     if not g.is_connected():
         raise PreconditionError("triangulation input must be connected")
     ind = independent.mask
-    for u, v in g.edges():
-        if (ind >> u) & 1 and (ind >> v) & 1:
-            raise PreconditionError("the designated set is not independent")
+    if any((ind >> u) & (ind >> v) & 1 for u, v in emb.edges):
+        raise PreconditionError("the designated set is not independent")
 
-    work = _MutableEmbedding()
-    work.edges = [tuple(e) for e in emb.edges]
-    work.rot = [list(r) for r in emb.rotation]
-    work.faces = [list(f) for f in emb.faces]
-
-    # One pass over the face list; enumerate also reaches the faces that
-    # insert_chord appends.  Every face before fi has length <= 3 and
-    # insert_chord leaves faces[fi] a triangle, so the chords and their order
-    # are those of a rescan from face 0 after each chord.
-    for fi, walk in enumerate(work.faces):
+    edges = list(emb.edges)
+    rot = [list(r) for r in emb.rotation]
+    faces = [list(f) for f in emb.faces]
+    # One pass over the face list; enumerate also reaches the residual faces
+    # appended below.  Every face before fi has length <= 3 and faces[fi]
+    # becomes a triangle, so the chords and their order are those of a
+    # rescan from face 0 after each chord.
+    for fi, walk in enumerate(faces):
         k = len(walk)
         if k <= 3:
             continue
-        tails = [work.tail(d) for d in walk]
-        counts = Counter(tails)
+        tails = [edges[d >> 1][d & 1] for d in walk]
         best_j = -1
         best_pair = None
         for j, x in enumerate(tails):
-            if counts[x] != 1 or (ind >> x) & 1:
+            if (ind >> x) & 1 or tails.count(x) != 1:
                 continue
-            z = tails[(j + 2) % k]
-            pair = (min(x, z), max(x, z))
+            z = tails[j + 2 - k]
+            pair = (x, z) if x < z else (z, x)
             if best_pair is None or pair < best_pair:
                 best_pair = pair
                 best_j = j
         if best_j < 0:
-            raise TriangulationBlocked(
-                f"face {tuple(work.tail(d) for d in walk)} admits no chord"
-            )
-        work.insert_chord(fi, best_j)
-    return work.finish()
+            raise TriangulationBlocked(f"face {tuple(tails)} admits no chord")
+        # The chord h runs x = tail(d_j) -> z = tail(d_j+2): it goes after
+        # the reverse of d_j-1 at x and its reverse after that of d_j+1 at z,
+        # leaving the triangle (d_j, d_j+1, z->x) and the face (h, d_j+2, ...).
+        from_j = walk[best_j:] + walk[:best_j]
+        x, z = tails[best_j], tails[best_j + 2 - k]
+        h = 2 * len(edges)
+        edges.append((x, z))
+        darts = rot[x]
+        darts.insert(darts.index(from_j[-1] ^ 1) + 1, h)
+        darts = rot[z]
+        darts.insert(darts.index(from_j[1] ^ 1) + 1, h ^ 1)
+        faces[fi] = [from_j[0], from_j[1], h ^ 1]
+        faces.append([h] + from_j[2:])
+    return PlanarEmbedding(emb.n, edges, rot)
 
 
 # -- discharging --------------------------------------------------------------
@@ -410,91 +419,121 @@ class ChargeLedger:
 def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedger:
     """Assign d(v) - 6 to every vertex of a triangulated embedding, then let
     every vertex of degree >= 8 give 1/2 to each neighbor (with multiplicity)
-    in the designated independent set of degree <= 7 vertices."""
+    in the designated independent set of degree <= 7 vertices.
+
+    The charges are kept as integer halves; each distinct ledger value
+    becomes a `Fraction` once, when the ledger is built.
+    """
     if any(len(f) != 3 for f in emb.faces):
         raise PreconditionError("charge audit requires a triangulated embedding")
     for v in low_independent:
         if emb.degree(v) > 7:
             raise PreconditionError(f"vertex {v} in the low set has degree > 7")
-    members = set(low_independent)
-    for u, v in emb.edges:
-        if u in members and v in members:
-            raise PreconditionError("designated low-degree set is not independent")
+    members = low_independent.mask
+    edges = emb.edges
+    if any((members >> u) & (members >> v) & 1 for u, v in edges):
+        raise PreconditionError("designated low-degree set is not independent")
 
-    initial = tuple([Fraction(emb.degree(v) - 6) for v in range(emb.n)])
-    final = list(initial)
+    initial = [2 * len(darts) - 12 for darts in emb.rotation]
+    final = initial[:]
     transfers = []
     half = Fraction(1, 2)
-    for v in range(emb.n):
-        if emb.degree(v) >= 8:
-            for d in emb.rotation[v]:
-                w = emb.head(d)
-                if w in members:
+    for v, darts in enumerate(emb.rotation):
+        if len(darts) >= 8:
+            for d in darts:
+                w = edges[d >> 1][1 - (d & 1)]
+                if (members >> w) & 1:
                     transfers.append((v, w, half))
-                    final[v] -= half
-                    final[w] += half
-    total = sum(final, Fraction(0))
-    negative = tuple([v for v in range(emb.n) if final[v] < 0])
-    return ChargeLedger(initial, tuple(transfers), tuple(final), total, negative)
+                    final[v] -= 1
+                    final[w] += 1
+    value = {h: Fraction(h, 2) for h in {*initial, *final}}
+    return ChargeLedger(
+        tuple([value[h] for h in initial]),
+        tuple(transfers),
+        tuple([value[h] for h in final]),
+        Fraction(sum(final), 2),
+        tuple([v for v, h in enumerate(final) if h < 0]),
+    )
 
 
 # -- generator for discharging-lemma instances --------------------------------
 
 
-def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: int) -> None:
+def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: int) -> list[int]:
     """Random diagonal flips on a triangulation; keeps it simple and maximal.
+    Returns the adjacency bitmask of each vertex after the flips.
 
     Each attempt draws e = rng.randrange(len(work.edges)) and nothing else,
     so the seed alone fixes every flip.  For the faces f = (d, d1, d2) of
     dart d = 2e and g = (dr, g1, g2) of dr = 2e + 1, the attempt is skipped
-    when d and dr lie on one face, when c = tail(d2) equals z = tail(g2), or
-    when c and z are already adjacent.  Otherwise edge slot e becomes
-    (c, z): d is inserted after d1^1 at c, dr after g1^1 at z, and f and g
-    are rewritten in place to [d2, g1, dr] and [d, g2, d1].
+    when dr lies on f, when c = tail(d2) equals z = tail(g2), or when c and
+    z are already adjacent.  Otherwise edge slot e becomes (c, z): d goes
+    after d1^1 at c and dr after g1^1 at z, and f and g become [d2, g1, dr]
+    and [d, g2, d1] in their slots of `work.faces`.
 
-    Two structures persist across attempts, so a flip costs O(degree):
-    `adj[v]`, the adjacency bitmask of v, exact because no flip makes a
-    parallel edge; and `face_of[d]`, the index in `work.faces` of the face
-    holding dart d, which keeps its slot there.
+    The loop updates only flat tables, so a flip costs O(1): `tail[d]`;
+    `nxt[d]`, the dart after d on its face; `face_of[d]`, the slot of that
+    face, and `start[i]`, the dart the face in slot i starts at; `first[v]`,
+    the first dart of v's rotation; and `adj[v]`, the adjacency bitmask of
+    v, exact because no flip makes a parallel edge.  The edge list, the
+    rotations and the faces are rebuilt from them once, at the end.  A
+    rotation keeps its first dart until a flip takes that dart from v, and
+    then starts at the dart after it; each is read from there by the step
+    x -> nxt[x ^ 1], the dart after x at its tail.
     """
     edges, rot, faces = work.edges, work.rot, work.faces
+    tail = [x for e in edges for x in e]
     adj = [0] * len(rot)
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    face_of = [0] * (2 * len(edges))
+    nxt = [0] * len(tail)
+    face_of = [0] * len(tail)
     for fi, walk in enumerate(faces):
-        for d in walk:
-            face_of[d] = fi
-    for _ in range(attempts):
-        e = rng.randrange(len(edges))
-        d, dr = 2 * e, 2 * e + 1
-        fi, gi = face_of[d], face_of[dr]
-        if fi == gi:
-            continue
-        f, g = faces[fi], faces[gi]
-        if len(f) != 3 or len(g) != 3:
+        if len(walk) != 3:
             raise EmbeddingError("flip requires triangular faces")
-        di, dri = f.index(d), g.index(dr)
-        d1, d2 = f[(di + 1) % 3], f[(di + 2) % 3]
-        g1, g2 = g[(dri + 1) % 3], g[(dri + 2) % 3]
-        c, z = work.tail(d2), work.tail(g2)
+        a, b, c = walk
+        nxt[a], nxt[b], nxt[c] = b, c, a
+        face_of[a] = face_of[b] = face_of[c] = fi
+    start = [walk[0] for walk in faces]
+    first = [darts[0] for darts in rot]
+    randrange, m = rng.randrange, len(edges)
+    for _ in range(attempts):
+        d = 2 * randrange(m)
+        dr = d + 1
+        d1, g1 = nxt[d], nxt[dr]
+        d2, g2 = nxt[d1], nxt[g1]
+        if dr == d1 or dr == d2:
+            continue
+        c, z = tail[d2], tail[g2]
         if c == z or (adj[c] >> z) & 1:
             continue
-        u, v = edges[e]
-        rot[u].remove(d)
-        rot[v].remove(dr)
+        u, v = tail[d], tail[dr]
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        edges[e] = (c, z)
         adj[c] |= 1 << z
         adj[z] |= 1 << c
-        work._insert_after(c, d1 ^ 1, d)
-        work._insert_after(z, g1 ^ 1, dr)
-        f[:] = [d2, g1, dr]
-        g[:] = [d, g2, d1]
+        tail[d], tail[dr] = c, z
+        if first[u] == d:
+            first[u] = g1  # the dart after d at u
+        if first[v] == dr:
+            first[v] = d1
+        nxt[d2], nxt[g1], nxt[dr] = g1, dr, d2
+        nxt[d], nxt[g2], nxt[d1] = g2, d1, d
+        fi, gi = face_of[d], face_of[dr]
+        start[fi], start[gi] = d2, d
         face_of[g1] = face_of[dr] = fi
         face_of[d] = face_of[d1] = gi
+    edges[:] = zip(tail[0::2], tail[1::2])
+    for v, x in enumerate(first):
+        darts = [x]
+        y = nxt[x ^ 1]
+        while y != x:
+            darts.append(y)
+            y = nxt[y ^ 1]
+        rot[v] = darts
+    faces[:] = [[x, nxt[x], nxt[nxt[x]]] for x in start]
+    return adj
 
 
 _MIN_CORE = 6  # a stripped maximal planar core this large has minimum degree >= 4
@@ -513,9 +552,10 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
 
     Attempt a draws only from its own generator, seeded derive_seed(seed, a):
     first the insertion faces, then one edge per flip attempt, 6 |E| in all,
-    so every (seed, n) replays bit for bit.  The flips keep a dart-to-face
-    index and per-vertex adjacency masks across attempts (see
-    `_flip_random_edges`), so each costs O(degree).
+    so every (seed, n) replays bit for bit.  The flips keep flat dart tables
+    and per-vertex adjacency masks across attempts (see
+    `_flip_random_edges`), so each costs O(1), and the deletions read those
+    masks; a graph is built only from an accepted core.
     """
     if n < 6:
         raise GraphError("min-degree-4 planar graphs need n >= 6")
@@ -524,26 +564,23 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
     for attempt in range(_MIN_DEGREE4_ATTEMPTS):
         rng = random.Random(derive_seed(seed, attempt))
         work = _embed_maximal_planar(rng, n)
-        _flip_random_edges(work, rng, 6 * len(work.edges))
-        # Flips keep the triangulation simple and planar, so the graph is read
-        # from the edge list without freezing the workspace into an embedding.
-        g = Graph(len(work.rot), work.edges)
-        active = (1 << g.n) - 1
-        adj = [g.adjacency_mask(v) for v in range(g.n)]
-        while True:
-            low = next(
-                (
-                    v
-                    for v in _mask_bits(active)
-                    if (adj[v] & active).bit_count() == 3
-                ),
-                None,
-            )
-            if low is None:
-                break
-            active &= ~(1 << low)
+        adj = _flip_random_edges(work, rng, 6 * len(work.edges))
+        # The peel reads the masks the flips kept; each vertex enters `low`
+        # once, when its degree in the active graph falls to 3.  The order
+        # of deletions does not matter: a core of six or more vertices is
+        # the 4-core, and a smaller one is rejected whatever it holds.
+        active = (1 << n) - 1
+        low = [v for v in range(n) if adj[v].bit_count() == 3]
+        while low:
+            v = low.pop()
+            if (adj[v] & active).bit_count() != 3:
+                continue  # the last triangle, where degrees fall to 2
+            active &= ~(1 << v)
+            low += [u for u in _mask_bits(adj[v] & active) if (adj[u] & active).bit_count() == 3]
         if active.bit_count() >= _MIN_CORE:
-            core, _ = g.induced_subgraph(VertexSet.from_mask(g.n, active))
+            # Flips keep the triangulation simple and planar, so the graph is
+            # read from the edge list without freezing the workspace.
+            core, _ = Graph(n, work.edges).induced_subgraph(VertexSet.from_mask(n, active))
             if core.min_degree() >= 4:
                 return core
     raise GenerationBudgetError(
