@@ -304,9 +304,6 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
             passed = passed and gx <= bound * rx
             x_checks.append({"x": sorted(x), "gamma_x": gx, "rho_x": rx})
         fields["x_checks"] = x_checks
-        if x_checks:
-            first = x_checks[0]
-            fields.update(gamma_x=first["gamma_x"], rho_x=first["rho_x"], x_set=first["x"])
     return _record(
         g, t0, gamma=gamma, rho=rho, ratio=Fraction(gamma, rho), passed=passed, **fields
     )

@@ -197,7 +197,9 @@ def test_verify_planar_with_x(capsys):
     assert code == 0
     records, summary = json_records(out)
     assert summary["violations"] == 0
-    assert any("x_checks" in rec for rec in records)
+    assert all(len(rec["x_checks"]) == 2 for rec in records)
+    # Each X check is written once, in x_checks only.
+    assert not any({"gamma_x", "rho_x", "x_set"} & rec.keys() for rec in records)
 
 
 def test_verify_records_replay(capsys):
@@ -573,7 +575,7 @@ PINNED_RUNS = (
 )
 # sha256 of PINNED_RUNS' exit codes and JSON output, wall_time stripped: any
 # change to an answer, witness, ordering, field or exit status shows here.
-PINNED_OUTPUT_SHA256 = "12206fb1a475c77cfd44520e4f677e87a04ab3603e5a36b7e807ed5156735943"
+PINNED_OUTPUT_SHA256 = "5ac71f2492e8395ae85c403b55609ce5dd90b86b9c93852af3d506ae940dd37c"
 
 
 def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
