@@ -9,7 +9,7 @@ set).  `_Output` writes each record as soon as it is made, as a JSON line, an
 aligned table row or a CSV row, and ends with a summary, which returns the
 exit status: 1 when any record failed (a bound violation, a construct input
 outside its class, a failed generator, or a lemma falsification).  Bad input
-exits 2.
+exits 2.  A reader that closes the pipe ends the run quietly with 141.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class _Output:
             self._stream.write(self._header + text + "\n")
             if flush:
                 self._stream.flush()
+        except BrokenPipeError:
+            raise  # the reader is gone, which is no input error: see main
         except OSError as exc:
             raise DompackError(f"cannot write {self._name}: {exc.strerror}") from None
         self._header = ""
@@ -532,6 +534,14 @@ def main(argv: list[str] | None = None) -> int:
     except DompackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`dompack ... | head`): stop quietly with
+        # the status of a writer killed by SIGPIPE.  As the Python docs on
+        # SIGPIPE advise, stdout then points at devnull, so the flush at exit
+        # cannot fail a second time.
+        with contextlib.suppress(OSError, ValueError):  # stdout may have no file
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # 13 is SIGPIPE
 
 
 if __name__ == "__main__":

@@ -549,6 +549,23 @@ def test_stdin_edge_json(src_env):
     assert json.loads(result.stdout.splitlines()[0])["gamma"] == 2
 
 
+def test_closed_pipe_stops_quietly(src_env):
+    # The reader takes one line and closes the pipe, as `| head -1` does:
+    # no error line, no traceback at exit, and SIGPIPE's status, not 2.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dompack.cli", "verify", "--class", "tree",
+         "--count", "3000", "--n", "6", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env,
+    )
+    assert json.loads(proc.stdout.readline())["n"] >= 2
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_stdin_graph6_on_60_vertices(capsys, monkeypatch):
     # graph6 writes n = 60 as '{'; the line is still graph6, not edge JSON.
     line = emit_graph6(Graph(60, [(i, i + 1) for i in range(59)]))
