@@ -565,10 +565,11 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
         rng = random.Random(derive_seed(seed, attempt))
         work = _embed_maximal_planar(rng, n)
         adj = _flip_random_edges(work, rng, 6 * len(work.edges))
-        # The peel reads the masks the flips kept; each vertex enters `low`
-        # once, when its degree in the active graph falls to 3.  The order
-        # of deletions does not matter: a core of six or more vertices is
-        # the 4-core, and a smaller one is rejected whatever it holds.
+        # The peel reads the masks the flips kept.  A vertex enters `low` at
+        # most once: at the start if its degree is 3, else when its degree
+        # in the active graph falls to 3.  The order of deletions does not
+        # matter: a core of six or more vertices is the 4-core, and a
+        # smaller one is rejected whatever it holds.
         active = (1 << n) - 1
         low = [v for v in range(n) if adj[v].bit_count() == 3]
         while low:

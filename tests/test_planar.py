@@ -336,28 +336,29 @@ def test_embedding_euler_check_counts_components():
     assert len(emb.faces) == 6
 
 
-@pytest.mark.parametrize(
-    "n, edges, rotation, message",
-    [
-        (2, [(0, 1)], [[0, 1]], "rotation must list every vertex"),
-        (2, [(0, 0)], [[0, 1], []], "self-loops are not allowed"),
-        (2, [(0, 2)], [[0], [1]], r"edge \(0,2\) outside 0\.\.1"),
-        (2, [(0, 1)], [[0], [2]], "dart 2 missing or repeated"),
-        (2, [(0, 1)], [[-1], [1]], "dart -1 missing or repeated"),
-        (2, [(0, 1)], [[0, 0], [1]], "dart 0 missing or repeated"),
-        (2, [(0, 1)], [[1], [0]], "dart 1 listed at the wrong vertex"),
-        (2, [(0, 1)], [[0], []], "some darts are absent from the rotation"),
-        (
-            4,
-            [(0, 1), (1, 2), (2, 0), (1, 3), (0, 3), (2, 3)],
-            [[8, 0, 5], [2, 6, 1], [4, 10, 3], [9, 7, 11]],
-            r"rotation system is not planar \(Euler check failed\)",
-        ),
-    ],
-)
-def test_embedding_rejects_malformed(n, edges, rotation, message):
-    with pytest.raises(EmbeddingError, match=message):
-        PlanarEmbedding(n, edges, rotation)
+MALFORMED_EMBEDDINGS = [
+    (2, [(0, 1)], [[0, 1]], "rotation must list every vertex"),
+    (2, [(0, 0)], [[0, 1], []], "self-loops are not allowed"),
+    (2, [(0, 2)], [[0], [1]], r"edge \(0,2\) outside 0\.\.1"),
+    (2, [(0, 1)], [[0], [2]], "dart 2 missing or repeated"),
+    (2, [(0, 1)], [[-1], [1]], "dart -1 missing or repeated"),
+    (2, [(0, 1)], [[0, 0], [1]], "dart 0 missing or repeated"),
+    (2, [(0, 1)], [[1], [0]], "dart 1 listed at the wrong vertex"),
+    (2, [(0, 1)], [[0], []], "some darts are absent from the rotation"),
+    (
+        4,
+        [(0, 1), (1, 2), (2, 0), (1, 3), (0, 3), (2, 3)],
+        [[8, 0, 5], [2, 6, 1], [4, 10, 3], [9, 7, 11]],
+        r"rotation system is not planar \(Euler check failed\)",
+    ),
+]
+
+
+def test_embedding_rejects_malformed():
+    # Each malformed input raises its own message.
+    for n, edges, rotation, message in MALFORMED_EMBEDDINGS:
+        with pytest.raises(EmbeddingError, match=message):
+            PlanarEmbedding(n, edges, rotation)
 
 
 def reference_faces(emb):
