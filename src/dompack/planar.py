@@ -289,8 +289,9 @@ def _cut_maximal_planar(seed: int, n: int, m: int) -> tuple[_MutableEmbedding, l
 
 
 def random_planar_edges(seed: int, n: int, m: int) -> list[tuple[int, int]]:
-    """The edge list of random_planar_embedding(seed, n, m), without building
-    its rotation system: the draw to test before freezing it."""
+    """The edge list of random_planar_embedding(seed, n, m), in its order,
+    without cutting the rotations or freezing an embedding: the draw to test
+    before building one."""
     work, keep = _cut_maximal_planar(seed, n, m)
     return [work.edges[e] for e in keep]
 
