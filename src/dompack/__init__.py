@@ -1,7 +1,7 @@
 """Domination and packing numbers: exact solvers, LP duality, per-class
 constructive algorithms, and planar lemma checks."""
 
-from .codec import emit_edge_json, emit_graph6, parse_edge_json, parse_graph, parse_graph6
+from .codec import emit_graph6, parse_edge_json, parse_graph, parse_graph6
 from .constructions import (
     DomPackCertificate,
     chordal_bipartite_dompack,

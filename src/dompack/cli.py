@@ -144,19 +144,33 @@ class _Output:
         return 1 if self.failures else 0
 
 
+@contextlib.contextmanager
 def _open_out(args):
     """Open --out before any instance is solved, so a bad path wastes no work.
-    --out naming the input file, which opening would empty, is an error."""
+    --out naming the input file, which opening would empty, is an error.
+    Every run ends with the summary's flush, so output is left buffered only
+    when an error stopped the run; when the close then fails to write it too
+    (a full device), the first error is the one reported."""
     path, source = args.out, getattr(args, "input", None)
+    if not path:
+        yield sys.stdout
+        return
     with contextlib.suppress(OSError):  # a missing file is not the input
-        if path and source:
+        if source:
             held = os.fstat(sys.stdin.fileno()) if source == "-" else os.stat(source)
             if os.path.samestat(held, os.stat(path)):
                 raise DompackError(f"--out {path} names the input file")
     try:
-        return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+        stream = open(path, "w")
     except OSError as exc:
         raise DompackError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        yield stream
+    except BaseException:
+        with contextlib.suppress(OSError):
+            stream.close()
+        raise
+    stream.close()
 
 
 def _read_graphs(path: str) -> Iterator[Graph]:

@@ -1,10 +1,10 @@
-"""graph6 and JSON edge-list serialization.
+"""graph6 serialization, and JSON edge lists as a second input format.
 
 graph6 (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt) writes
 N(n), then the pair-mask six bits to a character offset by 63, pair 0 first.
 Pair (i, j), i < j, is bit j(j-1)/2 + i of the pair-mask: the upper triangle
-in column-major order, the layout `all_graphs` enumerates.  The JSON format
-is {"n": int, "edges": [[u, v], ...]}.
+in column-major order, the layout `all_graphs` enumerates.  The JSON format,
+read but never written, is {"n": int, "edges": [[u, v], ...]}.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ def parse_graph6(text: str) -> Graph:
     if mask >> npairs:
         raise ParseError("nonzero padding bits in graph6 body")
     return _mask_to_graph(mask, n)
-
-
-def emit_edge_json(g: Graph) -> str:
-    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
 def parse_edge_json(text: str) -> Graph:

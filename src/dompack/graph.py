@@ -1,8 +1,8 @@
 """Core graph substrate: fixed-capacity vertex sets and immutable simple graphs.
 
 Vertices are dense 0-based indices.  Graphs are immutable values with no edit
-operations; an induced subgraph is densely reindexed and returned with its
-old->new index map.  Adjacency is stored as one int bitmask per vertex, which
+operations; an induced subgraph is densely reindexed in the order of its
+vertices.  Adjacency is stored as one int bitmask per vertex, which
 keeps the solver hot loops cheap.  A `VertexSet` passed together with a graph
 (to the predicates here and to the solvers) must have capacity g.n; any other
 capacity raises `GraphError`.
@@ -10,7 +10,6 @@ capacity raises `GraphError`.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -85,10 +84,6 @@ class VertexSet:
         object.__setattr__(obj, "mask", mask)
         return obj
 
-    @classmethod
-    def full(cls, capacity: int) -> VertexSet:
-        return cls.from_mask(capacity, (1 << capacity) - 1)
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.capacity and (self.mask >> v) & 1 == 1
 
@@ -119,10 +114,6 @@ class VertexSet:
     def __sub__(self, other: VertexSet) -> VertexSet:
         self._check_compatible(other)
         return VertexSet.from_mask(self.capacity, self.mask & ~other.mask)
-
-    def issubset(self, other: VertexSet) -> bool:
-        self._check_compatible(other)
-        return self.mask & ~other.mask == 0
 
     def complement(self) -> VertexSet:
         return VertexSet.from_mask(self.capacity, ((1 << self.capacity) - 1) & ~self.mask)
@@ -196,25 +187,6 @@ class Graph:
                 out.append((u, u + 1 + k))
         return out
 
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        """All vertices at distance <= 1 from v (always contains v)."""
-        self._check_vertex(v)
-        return VertexSet.from_mask(self.n, self._closed[v])
-
-    def second_closed_neighborhood(self, v: int) -> VertexSet:
-        """All vertices at distance <= 2 from v."""
-        self._check_vertex(v)
-        return VertexSet.from_mask(self.n, self.second_masks[v])
-
-    def bfs_depths(self, root: int) -> list[float]:
-        """Distance from root per vertex; math.inf for unreachable vertices."""
-        self._check_vertex(root)
-        depths: list[float] = [math.inf] * self.n
-        for d, layer in enumerate(_layers(self._adj, root)):
-            for v in _mask_bits(layer):
-                depths[v] = d
-        return depths
-
     def component_mask(self, v: int) -> int:
         self._check_vertex(v)
         return sum(_layers(self._adj, v))  # the layers are disjoint, so their sum is their union
@@ -222,8 +194,8 @@ class Graph:
     def is_connected(self) -> bool:
         return self.component_mask(0).bit_count() == self.n
 
-    def induced_subgraph(self, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
-        """Subgraph induced by `keep`, densely reindexed, with old->new map."""
+    def induced_subgraph(self, keep: VertexSet) -> Graph:
+        """Subgraph induced by `keep`, densely reindexed in increasing order."""
         members = keep.members()
         if not members:
             raise GraphError("induced subgraph needs at least one vertex")
@@ -233,7 +205,7 @@ class Graph:
             for a, b in self.edges()
             if a in index_map and b in index_map
         ]
-        return Graph(len(members), edges), index_map
+        return Graph(len(members), edges)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

@@ -13,9 +13,7 @@ parallel edges included.
 
 from __future__ import annotations
 
-import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,16 +125,11 @@ class PlanarEmbedding:
         if n - darts_total // 2 + len(self.faces) + iso != 2 * _component_count(adj):
             raise EmbeddingError("rotation system is not planar (Euler check failed)")
 
-    # -- dart helpers --------------------------------------------------------
-
-    def head(self, d: int) -> int:
-        return self.edges[d >> 1][1 - (d & 1)]
+    # -- views ---------------------------------------------------------------
 
     def degree(self, v: int) -> int:
         """Incident edge-ends, so parallel edges count with multiplicity."""
         return len(self.rotation[v])
-
-    # -- views ---------------------------------------------------------------
 
     def is_triangulated(self) -> bool:
         return all(len(f) == 3 for f in self.faces)
@@ -149,52 +142,6 @@ class PlanarEmbedding:
         """The simple graph of the edge list; a parallel edge raises
         `GraphError` from `Graph`'s duplicate-edge check."""
         return Graph(self.n, self.edges)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        if not self.is_simple():
-            raise EmbeddingError("neighbor rotation lists cannot name parallel edges")
-        rotation = [[self.head(d) for d in darts] for darts in self.rotation]
-        return json.dumps({"n": self.n, "rotation": rotation})
-
-    @classmethod
-    def from_json(cls, text: str) -> PlanarEmbedding:
-        """Rebuild a simple embedding from neighbor rotation lists.
-
-        Edge e is the e-th vertex pair in sorted order.  Every pair needs
-        exactly two edge-ends, one in each endpoint's list; a pair listed more
-        often would be a parallel edge, which this format cannot pair up.
-        Malformed input of any kind raises EmbeddingError; the constructor
-        rejects out-of-range neighbors and self-loops.
-        """
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise EmbeddingError(f"embedding is not JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise EmbeddingError("embedding JSON must be an object")
-        n, neighbor_rotation = obj.get("n"), obj.get("rotation")
-        if type(n) is not int or n < 1 or not isinstance(neighbor_rotation, list):
-            raise EmbeddingError('embedding needs an integer "n" >= 1 and a "rotation" list')
-        if len(neighbor_rotation) != n:
-            raise EmbeddingError("rotation must list every vertex")
-        ends: Counter[tuple[int, int]] = Counter()
-        for u, nbrs in enumerate(neighbor_rotation):
-            if not isinstance(nbrs, list) or not all(type(v) is int for v in nbrs):
-                raise EmbeddingError(f"rotation of vertex {u} is not a list of integers")
-            for v in nbrs:
-                ends[min(u, v), max(u, v)] += 1
-        for (u, v), c in ends.items():
-            if c != 2:
-                raise EmbeddingError(f"{c} edge-ends between {u} and {v}, expected 2")
-        edges = sorted(ends)
-        index = {pair: e for e, pair in enumerate(edges)}
-        rotation = [
-            [2 * index[min(u, v), max(u, v)] + (u > v) for v in nbrs]
-            for u, nbrs in enumerate(neighbor_rotation)
-        ]
-        return cls(n, edges, rotation)
 
 
 # -- construction ------------------------------------------------------------
@@ -260,32 +207,27 @@ def embed_maximal_planar(seed: int, n: int) -> PlanarEmbedding:
     return _embed_maximal_planar(random.Random(seed), n).finish()
 
 
-def _seeded_maximal_planar(seed: int, n: int, m: int) -> tuple[random.Random, _MutableEmbedding]:
-    """The generator for `seed` and the maximal planar graph it grows first,
-    after checking that m edges can be kept from it."""
+def _cut_maximal_planar(seed: int, n: int, m: int) -> tuple[_MutableEmbedding, list[int]]:
+    """The maximal planar graph grown for `seed` and the indices, in
+    insertion order, of m of its edges, drawn after the growth from the same
+    generator."""
     if n < 3:
         raise GraphError("random planar graphs need n >= 3")
     if not 0 <= m <= 3 * n - 6:
         raise GraphError(f"edge count {m} outside 0..{3 * n - 6}")
     rng = random.Random(seed)
-    return rng, _embed_maximal_planar(rng, n)
+    work = _embed_maximal_planar(rng, n)
+    total = len(work.edges)
+    return work, sorted(rng.sample(range(total), m)) if m < total else list(range(total))
 
 
 def random_planar(seed: int, n: int, m: int) -> Graph:
     """Planar-by-construction graph: maximal planar, then uniform edge
-    deletions down to m edges."""
-    rng, work = _seeded_maximal_planar(seed, n, m)
+    deletions down to m edges.  The drawn indices pick positions in the
+    sorted edge list (random.sample never looks at its population)."""
+    work, keep = _cut_maximal_planar(seed, n, m)
     full = sorted((min(u, v), max(u, v)) for u, v in work.edges)
-    keep = rng.sample(full, m) if m < len(full) else full
-    return Graph(n, keep)
-
-
-def _cut_maximal_planar(seed: int, n: int, m: int) -> tuple[_MutableEmbedding, list[int]]:
-    """random_planar's maximal planar graph for `seed` and the indices, in
-    insertion order, of the m edges at random_planar's drawn positions."""
-    rng, work = _seeded_maximal_planar(seed, n, m)
-    total = len(work.edges)
-    return work, sorted(rng.sample(range(total), m)) if m < total else list(range(total))
+    return Graph(n, [full[p] for p in keep])
 
 
 def random_planar_edges(seed: int, n: int, m: int) -> list[tuple[int, int]]:
@@ -582,7 +524,7 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
         if active.bit_count() >= _MIN_CORE:
             # Flips keep the triangulation simple and planar, so the graph is
             # read from the edge list without freezing the workspace.
-            core, _ = Graph(n, work.edges).induced_subgraph(VertexSet.from_mask(n, active))
+            core = Graph(n, work.edges).induced_subgraph(VertexSet.from_mask(n, active))
             if core.min_degree() >= 4:
                 return core
     raise GenerationBudgetError(

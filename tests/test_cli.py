@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -564,6 +565,27 @@ def test_closed_pipe_stops_quietly(src_env):
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("via_out", [True, False], ids=["out", "stdout"])
+def test_a_full_device_is_one_error_line(src_env, via_out):
+    # Every write to /dev/full fails with ENOSPC, through --out or through a
+    # redirected stdout alike: one error line and the usage status, 2, not
+    # the failed-record status 1 and no traceback from closing the file.
+    argv = [sys.executable, "-m", "dompack.cli", "lemmacheck", "--lemma", "charge-audit",
+            "--count", "3"]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            argv + ["--out", "/dev/full"] if via_out else argv,
+            stdout=subprocess.DEVNULL if via_out else full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=src_env,
+        )
+    name = "/dev/full" if via_out else "stdout"
+    assert result.stderr == f"error: cannot write {name}: No space left on device\n"
+    assert result.returncode == 2
 
 
 def test_stdin_graph6_on_60_vertices(capsys, monkeypatch):

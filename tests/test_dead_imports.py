@@ -1,10 +1,18 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dompack"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dompack"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# What a user, the acceptance criteria or the benchmark may call by name.
+DOCUMENTS = [
+    ROOT / "README.md",
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,10 +55,11 @@ def bound_names(node: ast.stmt) -> list[str]:
     return [leaf.id for t in targets for leaf in ast.walk(t) if isinstance(leaf, ast.Name)]
 
 
-def dead_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Private `_name` definitions that no source in `sources` reads: module
-    level functions, classes and constants (read as a bare name) and the
-    methods of module-level classes (read as an attribute)."""
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(label, name) of each definition that no source in `sources` reads:
+    module-level functions, classes and constants (read as a bare name) and
+    the methods of module-level classes (read as an attribute).  An import
+    alone is no read, and dunder names are left out."""
     defined, names, attributes = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -68,10 +77,15 @@ def dead_private_definitions(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
     return sorted(
-        label
+        (label, name)
         for label, name, reads in defined
-        if name.startswith("_") and not name.startswith("__") and name not in reads
+        if not name.startswith("__") and name not in reads
     )
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private `_name` definitions that no source in `sources` reads."""
+    return [label for label, name in unread_definitions(sources) if name.startswith("_")]
 
 
 def test_guard_sees_a_dead_private_definition():
@@ -87,6 +101,39 @@ def test_no_private_definition_goes_unread():
     # A kernel replaced by a shared one must leave no uncalled copy behind.
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_definitions(sources) == []
+
+
+def unreached_public_definitions(sources: dict[str, str], documents: str) -> list[str]:
+    """Public definitions that no source in `sources` reads and `documents`
+    never names: a module-level name as a word, a method (labelled
+    module.Class.name) only as an attribute, `.name`."""
+    words = set(re.findall(r"\w+", documents))
+    attributes = set(re.findall(r"\.(\w+)", documents))
+    return [
+        label
+        for label, name in unread_definitions(sources)
+        if not name.startswith("_")
+        and name not in (attributes if label.count(".") == 2 else words)
+    ]
+
+
+def test_guard_sees_an_unreached_public_definition():
+    sources = {
+        "a": "def helper(): pass\ndef gone(): pass\ndef documented(): pass\n"
+        "class C:\n    def old(self): pass\n    def kept(self): pass\n    def full(self): pass\n"
+        "    def shown(self): pass\n",
+        "b": "from a import C, gone, helper\nhelper()\nC().kept()\n",
+    }
+    documents = "Call `documented()` or `c.shown()` for the full set."
+    assert unreached_public_definitions(sources, documents) == ["a.C.full", "a.C.old", "a.gone"]
+
+
+def test_every_public_definition_is_reached():
+    # A public name that only the tests call is code nothing needs: the
+    # package, the README, the acceptance criteria or the benchmark must.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    documents = "\n".join(p.read_text() for p in DOCUMENTS)
+    assert unreached_public_definitions(sources, documents) == []
 
 
 def shared_definitions(sources: dict[str, str]) -> list[str]:

@@ -101,7 +101,7 @@ def test_gen_rook_examples():
     r33 = gen_rook(3, 3)
     assert r33.n == 9 and all(r33.degree(v) == 4 for v in range(9))
     assert exact_packing(r33).value == 1  # diameter 2
-    assert max(max(r33.bfs_depths(u)) for u in range(9)) == 2
+    assert r33.second_masks == ((1 << 9) - 1,) * 9  # diameter 2, not 1: degree 4
 
 
 def test_gen_named():

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import json
 import platform
 import random
 import sys
@@ -51,10 +50,20 @@ ICOSAHEDRON_ROTATION = [
 ]
 
 
+def rotation_embedding(neighbor_rotation):
+    """The simple embedding whose rotation at u lists u's neighbors in order.
+    Edge e is the e-th vertex pair in sorted order."""
+    pairs = [[(min(u, v), max(u, v)) for v in nbrs] for u, nbrs in enumerate(neighbor_rotation)]
+    edges = sorted({pair for row in pairs for pair in row})
+    index = {pair: e for e, pair in enumerate(edges)}
+    rotation = [[2 * index[p] + (u > p[0]) for p in row] for u, row in enumerate(pairs)]
+    return PlanarEmbedding(len(pairs), edges, rotation)
+
+
 @pytest.fixture
 def icosahedron():
     """The icosahedron as a triangulated embedding (5-regular, 20 faces)."""
-    return PlanarEmbedding.from_json(json.dumps({"n": 12, "rotation": ICOSAHEDRON_ROTATION}))
+    return rotation_embedding(ICOSAHEDRON_ROTATION)
 
 
 def c4_embedding():
@@ -155,11 +164,21 @@ def test_triangulate_preserves_independence_and_degrees():
 
 def test_triangulate_preconditions():
     emb = c4_embedding()
-    with pytest.raises(PreconditionError):
-        triangulate_preserving_independent(emb, VertexSet(4, [0, 1]))  # not independent
+    with pytest.raises(PreconditionError, match="the designated set is not independent"):
+        triangulate_preserving_independent(emb, VertexSet(4, [0, 1]))
     disconnected = PlanarEmbedding(3, [(0, 1)], [[0], [1], []])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="triangulation input must be connected"):
         triangulate_preserving_independent(disconnected, VertexSet(3, []))
+    # Two triangles on one doubled edge.
+    doubled = PlanarEmbedding(3, [(0, 1), (1, 2), (2, 0), (0, 1)], [[0, 5, 6], [2, 1, 7], [4, 3]])
+    with pytest.raises(PreconditionError, match="triangulation input must be simple"):
+        triangulate_preserving_independent(doubled, VertexSet(3, []))
+    # A simple embedding past Graph's vertex cap is no precondition failure.
+    # No VertexSet holds 513 vertices either, and none is read before the cap.
+    isolated = PlanarEmbedding(513, [], [[] for _ in range(513)])
+    with pytest.raises(GraphError, match=r"vertex count must be in 1\.\.512, got 513") as exc:
+        triangulate_preserving_independent(isolated, VertexSet(1))
+    assert not isinstance(exc.value, PreconditionError)
 
 
 def test_triangulate_never_blocks_exhaustive_small():
@@ -176,7 +195,7 @@ def test_triangulate_never_blocks_exhaustive_small():
             if not planar:
                 continue
             rotation = [list(emb_nx.neighbors_cw_order(v)) for v in range(n)]
-            emb = PlanarEmbedding.from_json(json.dumps({"n": n, "rotation": rotation}))
+            emb = rotation_embedding(rotation)
             closed = g.closed_masks
             for mask in range(1, 1 << n):
                 if any((mask >> v) & 1 and closed[v] & mask != 1 << v for v in range(n)):
@@ -238,15 +257,16 @@ def test_charge_audit_with_transfers():
 
 
 def test_charge_audit_preconditions():
-    emb = c4_embedding()  # not triangulated
-    with pytest.raises(PreconditionError):
-        charge_audit(emb, VertexSet(4, []))
+    with pytest.raises(PreconditionError, match="charge audit requires a triangulated embedding"):
+        charge_audit(c4_embedding(), VertexSet(4, []))
     tri = embed_maximal_planar(0, 12)
-    g = tri.graph()
-    u, v = g.edges()[0]
-    if g.degree(u) <= 7 and g.degree(v) <= 7:
-        with pytest.raises(PreconditionError):
-            charge_audit(tri, VertexSet(g.n, [u, v]))
+    hub = max(range(12), key=tri.degree)
+    assert tri.degree(hub) > 7
+    with pytest.raises(PreconditionError, match=f"vertex {hub} in the low set has degree > 7"):
+        charge_audit(tri, VertexSet(12, [hub]))
+    u, v = next((u, v) for u, v in tri.edges if tri.degree(u) <= 7 and tri.degree(v) <= 7)
+    with pytest.raises(PreconditionError, match="designated low-degree set is not independent"):
+        charge_audit(tri, VertexSet(12, [u, v]))
 
 
 def test_min_degree4_generator():
@@ -256,64 +276,6 @@ def test_min_degree4_generator():
         assert g.n >= 6
         assert g.m == 3 * g.n - 6  # stripping keeps the graph maximal planar
         assert find_low_degree_edge(g) is not None
-
-
-def test_embedding_json_round_trip_simple(icosahedron):
-    # The digest of edges, rotation and faces after each round trip was taken
-    # with the version that searched pairings of parallel edge-ends.
-    digest = hashlib.sha256()
-    corpus = []
-    for seed in range(30):
-        n = 5 + seed % 12
-        corpus.append(random_planar_embedding(derive_seed(1502, seed), n, n + seed % 6))
-    corpus.append(icosahedron)
-    for emb in corpus:
-        back = PlanarEmbedding.from_json(emb.to_json())
-        assert back.to_json() == emb.to_json()
-        assert sorted(map(len, back.faces)) == sorted(map(len, emb.faces))
-        digest.update(repr((back.edges, back.rotation, back.faces)).encode())
-    assert digest.hexdigest() == (
-        "51d612a36ee7b8794a6bd688dcb558060a55c5c605bb4f0043395b115e185b35"
-    )
-
-
-def test_embedding_json_refuses_parallel_edges():
-    tri = triangulate_preserving_independent(c4_embedding(), VertexSet(4, [0, 2]))
-    with pytest.raises(EmbeddingError):
-        tri.to_json()
-    # The C4 triangulation's neighbor lists: vertices 1 and 3 list each
-    # other twice.
-    doubled = {"n": 4, "rotation": [[1, 3], [2, 3, 0, 3], [3, 1], [0, 1, 2, 1]]}
-    with pytest.raises(EmbeddingError):
-        PlanarEmbedding.from_json(json.dumps(doubled))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        "[1, 2]",
-        '{"n": 2}',
-        '{"rotation": [[1], [0]]}',
-        '{"n": 0, "rotation": []}',
-        '{"n": -1, "rotation": []}',
-        '{"n": true, "rotation": [[]]}',
-        '{"n": 2.0, "rotation": [[1], [0]]}',
-        '{"n": 2, "rotation": {"0": [1]}}',
-        '{"n": 2, "rotation": [[1], "0"]}',
-        '{"n": 2, "rotation": [["1"], [0]]}',
-        '{"n": 2, "rotation": [[1.0], [0]]}',
-        '{"n": 2, "rotation": [[1]]}',
-        '{"n": 2, "rotation": [[1], [0], []]}',
-        '{"n": 2, "rotation": [[2], [0]]}',
-        '{"n": 2, "rotation": [[0], []]}',
-        '{"n": 2, "rotation": [[1], []]}',
-        '{"n": 2, "rotation": [[1, 1], []]}',
-    ],
-)
-def test_embedding_from_json_rejects_malformed(text):
-    with pytest.raises(EmbeddingError):
-        PlanarEmbedding.from_json(text)
 
 
 def test_embedding_validation_rejects_nonplanar():
@@ -466,6 +428,21 @@ def test_min_degree4_specs_replay():
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "65d2fb474828a54889e88bce4a9d1188e8cf4c0a9e92431fce585d5b876fed83"
+    )
+
+
+def test_planar_specs_replay():
+    # The graphs of 384 recorded planar GenSpecs, m from 0 to 3n - 6; the
+    # digest was taken with the version that sampled the sorted edge list
+    # itself rather than positions in it.
+    text = "\n".join(
+        emit_graph6(generate(GenSpec("planar", n, seed, {"m": m})))
+        for seed in range(12)
+        for n in (3, 4, 5, 8, 13, 30, 61)
+        for m in sorted({0, n - 1, 2 * n - 3, 3 * n - 7, 3 * n - 6})
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "53af7366d4cfa3b0d712aba0577280b63c71f8fddcdb611b0064a6c47a5bd4ec"
     )
 
 

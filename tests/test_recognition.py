@@ -38,7 +38,7 @@ def has_long_chordless_cycle(g):
     """Oracle: some induced subgraph on >= 6 vertices is a full cycle."""
     for k in range(6, g.n + 1):
         for combo in combinations(range(g.n), k):
-            sub, _ = g.induced_subgraph(VertexSet(g.n, combo))
+            sub = g.induced_subgraph(VertexSet(g.n, combo))
             if sub.is_connected() and all(sub.degree(v) == 2 for v in range(sub.n)):
                 return True
     return False
@@ -85,19 +85,19 @@ def test_h_extremal_witness_validates():
             d = find_h_extremal_witness(g, v)
             if d is None:
                 continue
-            assert d.issubset(g.closed_neighborhood(v))
+            assert d.mask & ~g.closed_masks[v] == 0
             assert is_homogeneous(g, d)
-            covered = d
+            covered = d.mask
             for u in d:
-                covered = covered | g.closed_neighborhood(u)
-            assert g.second_closed_neighborhood(v).issubset(covered)
+                covered |= g.closed_masks[u]
+            assert g.second_masks[v] & ~covered == 0
 
 
 def test_h_extremal_degree_cap():
     # No degree cap: the centre of a star with 25 leaves is h-extremal.
     star = gen_named("star25")
     witness = find_h_extremal_witness(star, 0)
-    assert witness is not None and witness.issubset(star.closed_neighborhood(0))
+    assert witness is not None and witness.mask & ~star.closed_masks[0] == 0
 
 
 def test_h_extremal_module_test_matches_subset_search():
