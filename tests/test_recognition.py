@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from itertools import combinations
 
 import elimination_reference
@@ -14,6 +17,9 @@ from dompack import (
     GraphError,
     VertexSet,
     bipartition,
+    emit_graph6,
+    exact_domination,
+    exact_packing,
     find_h_extremal_witness,
     find_homogeneous_ordering,
     find_simple_elimination_ordering,
@@ -27,11 +33,14 @@ from dompack.generators import (
     GenSpec,
     all_graphs,
     derive_seed,
+    gen_chordal_bipartite,
     gen_distance_hereditary,
     gen_gnp,
     gen_interval,
     gen_tree,
 )
+from dompack.planar import random_planar
+from dompack.recognition import _square_cliques
 
 
 def has_long_chordless_cycle(g):
@@ -268,3 +277,49 @@ def test_eliminations_match_rescan_reference():
         assert ordering == elimination_reference.homogeneous_ordering(g)
         orderable += ordering is not None and g.n > 6
     assert orderable >= 16
+
+
+def kernel_pin_corpus():
+    """Every graph on <= 6 vertices, then seeded tree (n <= 50), interval
+    (<= 40), chordal-bipartite split (<= 16), distance-hereditary (<= 14)
+    and planar (<= 30) draws."""
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    for i in range(12):
+        seed = derive_seed(2400, i)
+        graphs.append(gen_tree(GenSpec("tree", 2 + i * 48 // 11, seed)))
+        graphs.append(gen_interval(GenSpec("interval", 2 + i * 38 // 11, seed)))
+        cb = gen_chordal_bipartite(GenSpec("chordal-bipartite", 4 + i * 12 // 11, seed))
+        graphs.append(split_clique(cb, bipartition(cb)[0]))
+        graphs.append(gen_distance_hereditary(GenSpec("distance-hereditary", 2 + i, seed)))
+        n = 4 + i * 26 // 11
+        graphs.append(random_planar(seed, n, 2 * n - 2))
+    return graphs
+
+
+# sha256 of kernel_pin_corpus' simple elimination and homogeneous orderings,
+# `_square_cliques` output (or its GraphError text), and both solvers'
+# (value, sorted witness, nodes_explored) with no X and with one seeded X:
+# a faster kernel must make every choice and tie-break the same.
+PINNED_KERNEL_SHA256 = "0579ac83bae59d530acca3163ed338ea38ac1e4bf34be3c492be44d6a62928a1"
+
+
+def test_kernel_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for i, g in enumerate(kernel_pin_corpus()):
+        try:
+            cliques = _square_cliques(g._adj, (1 << g.n) - 1)
+        except GraphError as exc:
+            cliques = str(exc)
+        rng = random.Random(derive_seed(2401, i))
+        x = VertexSet(g.n, rng.sample(range(g.n), g.n // 4))
+        solves = [
+            (r.value, sorted(r.witness.members()), r.nodes_explored)
+            for r in (exact_domination(g), exact_packing(g),
+                      exact_domination(g, x), exact_packing(g, x))
+        ]
+        row = [
+            emit_graph6(g), find_simple_elimination_ordering(g),
+            find_homogeneous_ordering(g), cliques, solves,
+        ]
+        digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == PINNED_KERNEL_SHA256
