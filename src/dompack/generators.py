@@ -90,7 +90,7 @@ def gen_interval(spec: GenSpec) -> Graph:
     ]
     g = Graph(n, edges)
     if find_simple_elimination_ordering(g) is None:
-        raise AssertionError("interval graph failed the strongly chordal filter")
+        raise GraphError("interval graph failed the strongly chordal filter")
     return g
 
 

@@ -28,8 +28,11 @@ def _mask_bits(mask: int) -> Iterator[int]:
 def _square_mask(adj: tuple[int, ...], active: int, v: int) -> int:
     """N^2[v] in g[active]: the vertices of `active` within distance 2 of v."""
     mask = 1 << v
-    for u in _mask_bits((adj[v] & active) | mask):
-        mask |= adj[u]
+    rest = (adj[v] & active) | mask
+    while rest:
+        low = rest & -rest
+        mask |= adj[low.bit_length() - 1]
+        rest ^= low
     return mask & active
 
 

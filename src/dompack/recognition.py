@@ -38,22 +38,41 @@ def _square_cliques(
     of each side; raises GraphError when the characterisation fails.
     """
     second = [0] * len(adj)
-    for v in _mask_bits(active):
+    rest = active
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
         second[v] = _square_mask(adj, active, v)
+        rest ^= low
 
     weight = [0] * len(adj)
     unvisited = active
     order, cliques = [], []
     while unvisited:
-        v = max(_mask_bits(unvisited), key=weight.__getitem__)
+        heaviest = -1
+        rest = unvisited
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if weight[u] > heaviest:  # strict: ties go to the lowest index
+                heaviest = weight[u]
+                v = u
+            rest ^= low
         unvisited &= ~(1 << v)
         clique = second[v] & ~unvisited  # v and its G^2-neighbours visited before it
-        if any(clique & ~second[u] for u in _mask_bits(clique)):
-            raise GraphError("G^2 is not chordal: graph is not homogeneously orderable")
+        rest = clique
+        while rest:
+            low = rest & -rest
+            if clique & ~second[low.bit_length() - 1]:
+                raise GraphError("G^2 is not chordal: graph is not homogeneously orderable")
+            rest ^= low
         order.append(v)
         cliques.append(clique)
-        for u in _mask_bits(second[v] & unvisited):
-            weight[u] += 1
+        rest = second[v] & unvisited
+        while rest:
+            low = rest & -rest
+            weight[low.bit_length() - 1] += 1
+            rest ^= low
     order.reverse()
     cliques.reverse()
 
@@ -89,9 +108,13 @@ def _least_module(adj: tuple[int, ...], active: int, s: int, bound: int) -> int:
         if new & ~bound:
             return 0
         module |= new
-        for x in _mask_bits(new):
-            some |= adj[x]
-            every &= adj[x]
+        rest = new
+        while rest:
+            low = rest & -rest
+            nbrs = adj[low.bit_length() - 1]
+            some |= nbrs
+            every &= nbrs
+            rest ^= low
         new = some & ~every & active & ~module
     return module
 
@@ -103,13 +126,19 @@ def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
     left = closed_v
     while left:
         module = left & -left
-        for w in _mask_bits(closed_v):
-            if not (module >> w) & 1:
-                module |= _least_module(adj, active, module | (1 << w), closed_v)
+        rest = closed_v
+        while rest:
+            low = rest & -rest
+            if not module & low:
+                module |= _least_module(adj, active, module | low, closed_v)
+            rest ^= low
         left &= ~module
         covered = module
-        for x in _mask_bits(module):
-            covered |= adj[x]
+        rest = module
+        while rest:
+            low = rest & -rest
+            covered |= adj[low.bit_length() - 1]
+            rest ^= low
         if second & ~covered == 0:
             return module
     return 0
@@ -144,20 +173,32 @@ def _eliminate(
     """
     active = (1 << len(adj)) - 1
     stale = active  # vertices whose kept local result is out of date
-    passes = [False] * len(adj)
+    passes = 0  # vertices whose kept local result is true
     perm = []
     while active:
-        for v in _mask_bits(active):
-            if (stale >> v) & 1:
-                passes[v] = bool(local(adj, active, v))
-                stale &= ~(1 << v)
-            if passes[v] and (whole is None or whole(adj, active & ~(1 << v))):
+        rest = active
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if stale & low:
+                stale ^= low
+                if local(adj, active, v):
+                    passes |= low
+            if passes & low and (whole is None or whole(adj, active ^ low)):
                 break
+            rest ^= low
         else:
             return None
         perm.append(v)
-        stale |= _square_mask(adj, active, v)
-        active &= ~(1 << v)
+        square = low  # N^2[v] in g[active], and removed vertices never read again
+        rest = (adj[v] & active) | low
+        while rest:
+            near = rest & -rest
+            square |= adj[near.bit_length() - 1]
+            rest ^= near
+        stale |= square
+        passes &= ~square
+        active ^= low
     return tuple(perm)
 
 
@@ -177,12 +218,19 @@ def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
 
 def _is_simple_vertex(adj: tuple[int, ...], active: int, v: int) -> bool:
     """Closed neighborhoods of N[v]'s members form an inclusion chain."""
-    closed_v = (adj[v] & active) | (1 << v)
-    masks = sorted(
-        ((adj[u] & active) | (1 << u) for u in _mask_bits(closed_v)),
-        key=int.bit_count,
-    )
-    return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
+    masks = []
+    rest = (adj[v] & active) | (1 << v)
+    while rest:
+        low = rest & -rest
+        masks.append((adj[low.bit_length() - 1] & active) | low)
+        rest ^= low
+    masks.sort(key=int.bit_count)
+    prev = 0
+    for mask in masks:
+        if prev & ~mask:
+            return False
+        prev = mask
+    return True
 
 
 def find_simple_elimination_ordering(g: Graph) -> tuple[int, ...] | None:

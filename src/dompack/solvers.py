@@ -85,15 +85,25 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
         # need their own dominator.
         if size + _first_fit(second, uncovered).bit_count() >= best_size:
             return
-        v = next(v for v in by_degree if (uncovered >> v) & 1)
-        gains = [(u, closed[u] & uncovered) for u in _mask_bits(closed[v])]
+        for v in by_degree:
+            if (uncovered >> v) & 1:
+                break
+        gains = []
+        rest = closed[v]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            gains.append((u, closed[u] & uncovered))
+            rest ^= low
         for u, gain in gains:
             # u itself never qualifies as its own w: equal gain, w == u.
-            if any(gain & ~other == 0 and (gain != other or w < u) for w, other in gains):
-                continue
-            chosen.append(u)
-            dfs(covered | gain, size + 1)
-            chosen.pop()
+            for w, other in gains:
+                if gain & ~other == 0 and (gain != other or w < u):
+                    break
+            else:
+                chosen.append(u)
+                dfs(covered | gain, size + 1)
+                chosen.pop()
 
     dfs(start, 0)
     return SolveResult(best_size, VertexSet(n, best_set), nodes, True)
@@ -155,9 +165,24 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
             best_set = tuple(chosen)
         if not eligible:
             return
-        v = min(_mask_bits(eligible), key=lambda u: (second[u] & eligible).bit_count())
+        fewest = n + 1
+        rest = eligible
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (second[u] & eligible).bit_count()
+            if count < fewest:  # strict: ties go to the lowest index
+                fewest = count
+                v = u
+            rest ^= low
         conflicts = second[v] & eligible
-        if all(conflicts & ~second[u] == 0 for u in _mask_bits(conflicts)):
+        rest = conflicts
+        while rest:
+            low = rest & -rest
+            if conflicts & ~second[low.bit_length() - 1]:
+                break
+            rest ^= low
+        else:
             chosen.append(v)
             dfs(eligible & ~conflicts, size + 1)
             chosen.pop()

@@ -4,9 +4,13 @@
 step and keeps nothing between steps.  `recognition._eliminate` keeps each
 vertex's local test until a vertex within distance 2 of it is removed, so the
 tests require both to return the same orderings.
+
+The simple-vertex test here is written from the definition, apart from the
+kernel it checks.  The homogeneous side reuses the kernel's `_h_extremal`
+and characterisation, which have exhaustive oracles of their own.
 """
 
-from dompack.recognition import _h_extremal, _is_simple_vertex, _passes_characterisation
+from dompack.recognition import _h_extremal, _passes_characterisation
 
 
 def rescan_ordering(adj, takes):
@@ -25,9 +29,20 @@ def rescan_ordering(adj, takes):
     return tuple(perm)
 
 
+def is_simple_vertex(closed, active, v):
+    """The closed neighbourhoods in g[active] of N[v]'s members, as sets,
+    are pairwise comparable under inclusion; closed[u] is N[u] in g."""
+    alive = {u for u in range(len(closed)) if (active >> u) & 1}
+    nbhds = [closed[u] & alive for u in closed[v] & alive]
+    return all(a <= b or b <= a for a in nbhds for b in nbhds)
+
+
 def simple_elimination_ordering(g):
-    adj = g._adj
-    return rescan_ordering(adj, lambda active, v: _is_simple_vertex(adj, active, v))
+    closed = [{u} for u in range(g.n)]
+    for u, w in g.edges():
+        closed[u].add(w)
+        closed[w].add(u)
+    return rescan_ordering(g._adj, lambda active, v: is_simple_vertex(closed, active, v))
 
 
 def homogeneous_ordering(g):

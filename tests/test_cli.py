@@ -268,6 +268,23 @@ def test_verify_instance_errors_fail_only_their_records(capsys, monkeypatch):
             generate(GenSpec(**rec["genspec"]))
 
 
+def test_verify_survives_a_failed_membership_self_check(capsys, monkeypatch):
+    # An interval draw that fails its strongly chordal self-check fails its
+    # own record; the campaign goes on and exits 1.
+    import dompack.generators
+
+    monkeypatch.setattr(dompack.generators, "find_simple_elimination_ordering", lambda g: None)
+    code, out = run_cli(
+        capsys, "verify", "--class", "strongly-chordal", "--count", "2", "--format", "json"
+    )
+    assert code == 1
+    records, summary = json_records(out)
+    assert len(records) == 2 and summary["errors"] == 2
+    for rec in records:
+        assert rec["error"] == "interval graph failed the strongly chordal filter"
+        assert not rec["passed"]
+
+
 def test_construct_tree(capsys, tmp_path):
     path = tmp_path / "t.g6"
     path.write_text(emit_graph6(gen_named("P7")) + "\n")

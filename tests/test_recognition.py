@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import elimination_reference
+import networkx as nx
 import pytest
 from homogeneous_reference import (
     h_extremal_witness,
@@ -168,6 +169,25 @@ def test_simple_elimination_examples():
         ordering = find_simple_elimination_ordering(g)
         assert ordering is not None
         assert validate_simple_elimination_ordering(g, ordering)
+
+
+def test_simple_elimination_matches_farber_characterisation():
+    # Farber (Discrete Math. 43, 1983): strongly chordal iff chordal with no
+    # induced k-sun.  On <= 7 vertices only the 3-sun (a triangle, each edge
+    # with a private common neighbour) fits, so networkx decides every graph.
+    sun = nx.Graph([(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
+    accepted = checked = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            farber = nx.is_chordal(h) and not any(
+                nx.is_isomorphic(h.subgraph(six), sun) for six in combinations(range(n), 6)
+            )
+            assert (find_simple_elimination_ordering(g) is not None) == farber, g
+            accepted += farber
+            checked += 1
+    assert (checked, accepted) == (1252, 520)
 
 
 def test_validate_rejects_bad_orderings():
