@@ -1,19 +1,21 @@
 """Constructive domination-packing pairs for the four tractable classes.
 
-Trees (deepest-first from a root) and strongly chordal graphs (along a
-simple elimination ordering) get gamma = rho pairs in one pass; chordal
-bipartite graphs combine the two split-clique strongly chordal graphs;
-homogeneously orderable graphs get a maximum packing and a dominating set at
+One gamma = rho pass (Farber) runs along a simple elimination ordering: the
+one given for a strongly chordal graph, a tree's BFS layers from a root taken
+deepest first, and each of a chordal bipartite graph's two split-clique
+graphs, whose dominating sets are joined for a gamma <= 2 rho pair.
+Homogeneously orderable graphs get a maximum packing and a dominating set at
 most twice its size from a clique cover of G^2, following the
 Brandstaedt-Dragan-Nicolai characterisation of the class.
-Every algorithm emits a DomPackCertificate that is revalidated against the
-graph predicates before it leaves this module; an invalid certificate raises
-instead of being returned.
+Every algorithm hands its D and P to `_finalize`, the one place that builds a
+DomPackCertificate; it revalidates them against the graph predicates, and an
+invalid certificate raises instead of being returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, GraphError
@@ -48,76 +50,43 @@ class DomPackCertificate:
         }
 
 
-def _finalize(g: Graph, cert: DomPackCertificate) -> DomPackCertificate:
-    """Revalidate a certificate; never return an invalid one.
+def _finalize(
+    g: Graph, d_mask: int, p_mask: int, class_tag: str, bound: int
+) -> DomPackCertificate:
+    """Build the certificate and revalidate it; never return an invalid one.
 
     With bound 1 a returned certificate has |D| = |P|: a dominating set is
     never smaller than a packing.
     """
-    if not is_dominating(g, cert.d):
-        raise ConstructionError(f"{cert.class_tag}: D is not dominating")
-    if not is_packing(g, cert.p):
-        raise ConstructionError(f"{cert.class_tag}: P is not a packing")
-    if len(cert.d) > cert.bound_constant * len(cert.p):
-        raise ConstructionError(
-            f"{cert.class_tag}: |D|={len(cert.d)} exceeds "
-            f"{cert.bound_constant} * |P|={len(cert.p)}"
-        )
-    return replace(cert, valid=True)
+    d = VertexSet.from_mask(g.n, d_mask)
+    p = VertexSet.from_mask(g.n, p_mask)
+    if not is_dominating(g, d):
+        raise ConstructionError(f"{class_tag}: D is not dominating")
+    if not is_packing(g, p):
+        raise ConstructionError(f"{class_tag}: P is not a packing")
+    if len(d) > bound * len(p):
+        raise ConstructionError(f"{class_tag}: |D|={len(d)} exceeds {bound} * |P|={len(p)}")
+    return DomPackCertificate(d, p, class_tag, Fraction(bound), valid=True)
 
 
-def tree_dompack(t: Graph, root: int) -> DomPackCertificate:
-    """Equal-size dominating set and packing on a tree (gamma = rho).
+def _gamma_rho_pass(g: Graph, ordering: Iterable[int]) -> tuple[int, int]:
+    """Farber's single pass along a simple elimination ordering: (D, P) masks.
 
-    The BFS layers from the root are walked deepest first; each vertex joins
-    P when it keeps all pairwise distances >= 3, and its dominator in D is
-    its one neighbour in the layer above, or the vertex itself at the root.
+    When v is still undominated, v joins P and its dominator joins D: the
+    member of N[v] whose closed neighborhood in the suffix graph is the
+    inclusion maximum of the simple-vertex chain at v, the lowest index on
+    ties.  The packing property of P is exactly where the ordering is
+    exercised, so `_finalize` always revalidates the result.
     """
-    if not is_tree(t):
-        raise GraphError("input is not a tree")
-    t._check_vertex(root)
-    layers = list(_layers(t._adj, root))
-    closed, second = t.closed_masks, t.second_masks
-    p_mask = d_mask = blocked = 0
-    for depth in reversed(range(len(layers))):
-        above = layers[max(depth - 1, 0)]
-        for v in _mask_bits(layers[depth]):
-            if not (blocked >> v) & 1:
-                p_mask |= 1 << v
-                blocked |= second[v]
-                d_mask |= closed[v] & above
-    cert = DomPackCertificate(
-        VertexSet.from_mask(t.n, d_mask),
-        VertexSet.from_mask(t.n, p_mask),
-        "tree",
-        Fraction(1),
-    )
-    return _finalize(t, cert)
-
-
-def strongly_chordal_dompack(g: Graph, ordering: tuple[int, ...]) -> DomPackCertificate:
-    """Single-pass gamma = rho pair along a simple elimination ordering.
-
-    When v_i is still undominated, the dominator is the member of N[v_i]
-    whose own closed neighborhood in the suffix graph is the inclusion
-    maximum of the simple-vertex chain at v_i; v_i itself joins P.  The
-    packing property of P is exactly where the ordering is exercised, so the
-    certificate is always revalidated.
-    """
-    if not validate_simple_elimination_ordering(g, ordering):
-        raise GraphError("ordering is not a simple elimination ordering of g")
-    adj = g._adj
-    closed = g.closed_masks
+    adj, closed = g._adj, g.closed_masks
     active = (1 << g.n) - 1
-    dominated = 0
-    d_mask = 0
-    p_mask = 0
+    dominated = d_mask = p_mask = 0
     for v in ordering:
         if not (dominated >> v) & 1:
             best_u = -1
             best_cover = -1
-            for u in _mask_bits((adj[v] & active) | (1 << v)):
-                cover = ((adj[u] & active) | (1 << u)).bit_count()
+            for u in _mask_bits(closed[v] & active):
+                cover = (adj[u] & active).bit_count()
                 if cover > best_cover:
                     best_cover = cover
                     best_u = u
@@ -125,31 +94,52 @@ def strongly_chordal_dompack(g: Graph, ordering: tuple[int, ...]) -> DomPackCert
             dominated |= closed[best_u]
             p_mask |= 1 << v
         active &= ~(1 << v)
-    cert = DomPackCertificate(
-        VertexSet.from_mask(g.n, d_mask),
-        VertexSet.from_mask(g.n, p_mask),
-        "strongly-chordal",
-        Fraction(1),
-    )
-    return _finalize(g, cert)
+    return d_mask, p_mask
+
+
+def tree_dompack(t: Graph, root: int) -> DomPackCertificate:
+    """Equal-size dominating set and packing on a tree (gamma = rho).
+
+    A tree is strongly chordal, and the BFS layers from the root, deepest
+    first, are a simple elimination ordering: each vertex is a leaf of what
+    is left, or the root.  Along it the gamma = rho pass puts a vertex in P
+    when it is still undominated, and its dominator in D is its parent; only
+    the root's last child ties with the root, and the lower index wins.
+    """
+    if not is_tree(t):
+        raise GraphError("input is not a tree")
+    t._check_vertex(root)
+    layers = reversed(list(_layers(t._adj, root)))
+    d_mask, p_mask = _gamma_rho_pass(t, (v for layer in layers for v in _mask_bits(layer)))
+    return _finalize(t, d_mask, p_mask, "tree", 1)
+
+
+def strongly_chordal_dompack(g: Graph, ordering: tuple[int, ...]) -> DomPackCertificate:
+    """Single-pass gamma = rho pair along a simple elimination ordering."""
+    if not validate_simple_elimination_ordering(g, ordering):
+        raise GraphError("ordering is not a simple elimination ordering of g")
+    d_mask, p_mask = _gamma_rho_pass(g, ordering)
+    return _finalize(g, d_mask, p_mask, "strongly-chordal", 1)
 
 
 def chordal_bipartite_dompack(g: Graph) -> DomPackCertificate:
-    """gamma <= 2 rho pair via the two split-clique strongly chordal graphs."""
+    """gamma <= 2 rho pair via the two split-clique strongly chordal graphs.
+
+    D is the union of the two passes' dominating sets; P is the larger
+    packing, side A's on ties.
+    """
     if not is_chordal_bipartite(g):
         raise GraphError("graph is not chordal bipartite")
-    side_a, side_b = bipartition(g)
     parts = []
-    for side in (side_a, side_b):
+    for side in bipartition(g):
         split = split_clique(g, side)
         ordering = find_simple_elimination_ordering(split)
         if ordering is None:
             raise ConstructionError("split graph unexpectedly not strongly chordal")
-        parts.append(strongly_chordal_dompack(split, ordering))
-    cert_a, cert_b = parts
-    d = cert_a.d | cert_b.d
-    p = cert_a.p if len(cert_a.p) >= len(cert_b.p) else cert_b.p
-    return _finalize(g, DomPackCertificate(d, p, "chordal-bipartite", Fraction(2)))
+        parts.append(_gamma_rho_pass(split, ordering))
+    (d_a, p_a), (d_b, p_b) = parts
+    p_mask = p_a if p_a.bit_count() >= p_b.bit_count() else p_b
+    return _finalize(g, d_a | d_b, p_mask, "chordal-bipartite", 2)
 
 
 def homogeneously_orderable_dompack(g: Graph) -> DomPackCertificate:
@@ -169,8 +159,7 @@ def homogeneously_orderable_dompack(g: Graph) -> DomPackCertificate:
 
     Ties break toward the lowest index, so the certificate is deterministic.
     """
-    n = g.n
-    order, cliques, dominators = _square_cliques(g._adj, (1 << n) - 1)
+    order, cliques, dominators = _square_cliques(g._adj, (1 << g.n) - 1)
 
     covered = p_mask = d_mask = 0
     for v, clique in zip(order, cliques):
@@ -180,10 +169,4 @@ def homogeneously_orderable_dompack(g: Graph) -> DomPackCertificate:
         covered |= clique
         d_mask |= next(pair for u, pair in dominators if clique & ~u == 0)
 
-    cert = DomPackCertificate(
-        VertexSet.from_mask(n, d_mask),
-        VertexSet.from_mask(n, p_mask),
-        "homogeneously-orderable",
-        Fraction(2),
-    )
-    return _finalize(g, cert)
+    return _finalize(g, d_mask, p_mask, "homogeneously-orderable", 2)

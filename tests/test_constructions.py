@@ -1,12 +1,15 @@
+import hashlib
 import json
 
 import pytest
 from homogeneous_reference import homogeneous_ordering
 
 from dompack import (
+    ConstructionError,
     Graph,
     GraphError,
     chordal_bipartite_dompack,
+    emit_graph6,
     exact_domination,
     exact_packing,
     find_simple_elimination_ordering,
@@ -17,6 +20,7 @@ from dompack import (
     strongly_chordal_dompack,
     tree_dompack,
 )
+from dompack.constructions import _finalize
 from dompack.generators import (
     GenSpec,
     all_graphs,
@@ -61,12 +65,15 @@ def test_tree_dompack_random_trees():
 
 
 def test_tree_dompack_any_root():
-    t = gen_tree(GenSpec("tree", 17, 12345))
-    gamma = exact_domination(t).value
-    for root in range(t.n):
-        cert = tree_dompack(t, root)
-        check_certificate(t, cert)
-        assert len(cert.d) == gamma
+    for n in range(1, 10):
+        for t in all_trees(n):
+            gamma = exact_domination(t).value
+            for root in range(n):
+                cert = tree_dompack(t, root)
+                check_certificate(t, cert)
+                assert len(cert.d) == len(cert.p) == gamma
+                again = tree_dompack(t, root)
+                assert (again.d, again.p) == (cert.d, cert.p)
 
 
 def test_tree_dompack_rejects_non_trees():
@@ -187,6 +194,20 @@ def test_homogeneously_orderable_rejects():
         homogeneously_orderable_dompack(gen_named("C6"))
 
 
+def test_finalize_refuses_invalid_certificates():
+    # Every construction's D and P pass through _finalize; it raises rather
+    # than return a certificate that does not hold.
+    p4 = gen_named("P4")
+    with pytest.raises(ConstructionError, match="D is not dominating"):
+        _finalize(p4, 0b0010, 0b0001, "tree", 1)
+    with pytest.raises(ConstructionError, match="P is not a packing"):
+        _finalize(p4, 0b0110, 0b0011, "tree", 1)
+    with pytest.raises(ConstructionError, match=r"\|D\|=2 exceeds 1 \* \|P\|=1"):
+        _finalize(p4, 0b0110, 0b0001, "tree", 1)
+    cert = _finalize(p4, 0b0110, 0b0001, "chordal-bipartite", 2)
+    assert cert.valid and sorted(cert.d) == [1, 2] and sorted(cert.p) == [0]
+
+
 def test_certificate_determinism():
     g = gen_interval(GenSpec("interval", 20, 777))
     ordering = find_simple_elimination_ordering(g)
@@ -220,3 +241,45 @@ def test_exhaustive_small_trees():
             cert = tree_dompack(t, 0)
             check_certificate(t, cert)
             assert len(cert.d) == len(cert.p) == exact_domination(t).value
+
+
+def construction_pin_rows():
+    """(name, graph, thunk) over every tree on <= 12 vertices at root 0, every
+    graph on <= 7 vertices (strongly chordal only where it has an ordering),
+    then seeded interval (n <= 40), chordal-bipartite (n <= 16) and
+    distance-hereditary (n <= 14) draws."""
+    for n in range(1, 13):
+        for t in all_trees(n):
+            yield "tree", t, lambda t=t: tree_dompack(t, 0)
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            ordering = find_simple_elimination_ordering(g)
+            if ordering is not None:
+                yield "sc", g, lambda g=g, o=ordering: strongly_chordal_dompack(g, o)
+            yield "cb", g, lambda g=g: chordal_bipartite_dompack(g)
+            yield "ho", g, lambda g=g: homogeneously_orderable_dompack(g)
+    for i in range(12):
+        seed = derive_seed(2500, i)
+        g = gen_interval(GenSpec("interval", 2 + i * 38 // 11, seed))
+        yield "sc", g, lambda g=g: strongly_chordal_dompack(g, find_simple_elimination_ordering(g))
+        g = gen_chordal_bipartite(GenSpec("chordal-bipartite", 4 + i * 12 // 11, seed))
+        yield "cb", g, lambda g=g: chordal_bipartite_dompack(g)
+        g = gen_distance_hereditary(GenSpec("distance-hereditary", 2 + i, seed))
+        yield "ho", g, lambda g=g: homogeneously_orderable_dompack(g)
+
+
+# sha256 of construction_pin_rows' (graph6, D, P) or GraphError text: a
+# simpler construction must return the very same certificates.
+PINNED_CONSTRUCTION_SHA256 = "8ff353341bc8b75a9423f26dc14616ec5d5e282699fa9e4d66c80d5e210ca1cd"
+
+
+def test_construction_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for name, g, build in construction_pin_rows():
+        try:
+            cert = build()
+            out = [list(cert.d), list(cert.p)]
+        except GraphError as exc:
+            out = str(exc)
+        digest.update(json.dumps([name, emit_graph6(g), out]).encode())
+    assert digest.hexdigest() == PINNED_CONSTRUCTION_SHA256
