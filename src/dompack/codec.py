@@ -3,8 +3,9 @@
 graph6 (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt) writes
 N(n), then the pair-mask six bits to a character offset by 63, pair 0 first.
 Pair (i, j), i < j, is bit j(j-1)/2 + i of the pair-mask: the upper triangle
-in column-major order, the layout `all_graphs` enumerates.  The JSON format,
-read but never written, is {"n": int, "edges": [[u, v], ...]}.
+in column-major order, the layout `all_graphs` enumerates; `_adjacency` turns
+it into the masks that `Graph._from_adjacency` takes as they are.  The JSON
+format, read but never written, is {"n": int, "edges": [[u, v], ...]}.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ def _adjacency(mask: int, n: int) -> list[int]:
         for i in _mask_bits(column):
             adj[i] |= 1 << j
     return adj
-
-
-def _mask_to_graph(mask: int, n: int) -> Graph:
-    adj = _adjacency(mask, n)
-    return Graph(n, [(i, j) for j in range(n) for i in _mask_bits(adj[j] & ((1 << j) - 1))])
 
 
 def _encode(value: int, length: int) -> str:
@@ -94,7 +90,7 @@ def parse_graph6(text: str) -> Graph:
     mask = int(format(_decode(body, "data"), f"0{6 * need}b")[::-1], 2)
     if mask >> npairs:
         raise ParseError("nonzero padding bits in graph6 body")
-    return _mask_to_graph(mask, n)
+    return Graph._from_adjacency(_adjacency(mask, n))
 
 
 def parse_edge_json(text: str) -> Graph:

@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .codec import _adjacency, _mask_to_graph
+from .codec import _adjacency
 from .errors import GenerationBudgetError, GraphError
 from .graph import Graph, _mask_bits
 from .recognition import (
@@ -136,22 +136,20 @@ def gen_distance_hereditary(spec: GenSpec) -> Graph:
     if n < 1:
         raise GraphError("distance-hereditary growth needs n >= 1")
     rng = random.Random(derive_seed(spec.seed, 1))
-    edges: list[tuple[int, int]] = []
-    adj: list[set[int]] = [set()]
+    adj = [0]
     for new in range(1, n):
         target = rng.randrange(new)
         op = rng.choice(("pendant", "true-twin", "false-twin"))
         if op == "pendant":
-            nbrs = {target}
+            nbrs = 1 << target
         elif op == "true-twin":
-            nbrs = adj[target] | {target}
+            nbrs = adj[target] | 1 << target
         else:
-            nbrs = set(adj[target])
-        adj.append(set(nbrs))
-        for u in nbrs:
-            adj[u].add(new)
-            edges.append((u, new))
-    g = Graph(n, edges)
+            nbrs = adj[target]
+        adj.append(nbrs)
+        for u in _mask_bits(nbrs):
+            adj[u] |= 1 << new
+    g = Graph._from_adjacency(adj)
     if find_homogeneous_ordering(g) is None:
         raise GraphError("grown graph is not homogeneously orderable")
     return g
@@ -426,7 +424,7 @@ def all_graphs(n: int) -> list[Graph]:
     """
     if not 1 <= n <= 7:
         raise GraphError("exhaustive graph enumeration is capped at n <= 7")
-    return [_mask_to_graph(mask, n) for mask in _graph_level(n)]
+    return [Graph._from_adjacency(_adjacency(mask, n)) for mask in _graph_level(n)]
 
 
 @functools.cache

@@ -3,8 +3,11 @@
 Vertices are dense 0-based indices.  Graphs are immutable values with no edit
 operations; an induced subgraph is densely reindexed in the order of its
 vertices.  Adjacency is stored as one int bitmask per vertex, which
-keeps the solver hot loops cheap.  A `VertexSet` passed together with a graph
-(to the predicates here and to the solvers) must have capacity g.n; any other
+keeps the solver hot loops cheap.  `Graph(n, edges)` validates an edge list
+and the private `Graph._from_adjacency` takes trusted masks; both end in
+`Graph._fill`, which checks 1 <= n <= MAX_VERTICES and sets every attribute.
+A `VertexSet` passed together with a graph (to the predicates here, to
+`induced_subgraph` and to the solvers) must have capacity g.n; any other
 capacity raises `GraphError`.
 """
 
@@ -16,6 +19,12 @@ from dataclasses import dataclass
 from .errors import GraphError, VertexRangeError
 
 MAX_VERTICES = 512
+
+
+def _vertex_count(n: int) -> int:
+    if not 0 < n <= MAX_VERTICES:
+        raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+    return n
 
 
 def _mask_bits(mask: int) -> Iterator[int]:
@@ -102,22 +111,6 @@ class VertexSet:
     def members(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def _check_compatible(self, other: VertexSet) -> None:
-        if self.capacity != other.capacity:
-            raise GraphError("vertex sets have different capacities")
-
-    def __or__(self, other: VertexSet) -> VertexSet:
-        self._check_compatible(other)
-        return VertexSet.from_mask(self.capacity, self.mask | other.mask)
-
-    def __and__(self, other: VertexSet) -> VertexSet:
-        self._check_compatible(other)
-        return VertexSet.from_mask(self.capacity, self.mask & other.mask)
-
-    def __sub__(self, other: VertexSet) -> VertexSet:
-        self._check_compatible(other)
-        return VertexSet.from_mask(self.capacity, self.mask & ~other.mask)
-
     def complement(self) -> VertexSet:
         return VertexSet.from_mask(self.capacity, ((1 << self.capacity) - 1) & ~self.mask)
 
@@ -129,10 +122,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1, n <= 512."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 < n <= MAX_VERTICES:
-            raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        adj = [0] * n
-        m = 0
+        adj = [0] * _vertex_count(n)  # checked before the list is made
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
@@ -142,11 +132,22 @@ class Graph:
                 raise GraphError(f"duplicate edge ({u},{v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            m += 1
-        self.n = n
-        self.m = m
+        self._fill(adj)
+
+    @classmethod
+    def _from_adjacency(cls, adj: Sequence[int]) -> Graph:
+        """The graph whose vertex v has adjacency mask adj[v].  The caller
+        vouches that the masks are symmetric, loop-free and inside
+        0..len(adj)-1; only the vertex count is checked."""
+        g = object.__new__(cls)
+        g._fill(adj)
+        return g
+
+    def _fill(self, adj: Sequence[int]) -> None:
+        self.n = _vertex_count(len(adj))
+        self.m = sum(a.bit_count() for a in adj) // 2
         self._adj = tuple(adj)
-        self._closed = tuple([adj[v] | (1 << v) for v in range(n)])
+        self._closed = tuple([a | (1 << v) for v, a in enumerate(adj)])
         self._second: tuple[int, ...] | None = None
 
     # -- low-level masks (used heavily by the solvers) --------------------
@@ -199,16 +200,14 @@ class Graph:
 
     def induced_subgraph(self, keep: VertexSet) -> Graph:
         """Subgraph induced by `keep`, densely reindexed in increasing order."""
-        members = keep.members()
-        if not members:
+        mask = _set_mask(self, keep)
+        if not mask:
             raise GraphError("induced subgraph needs at least one vertex")
-        index_map = {old: new for new, old in enumerate(members)}
-        edges = [
-            (index_map[a], index_map[b])
-            for a, b in self.edges()
-            if a in index_map and b in index_map
-        ]
-        return Graph(len(members), edges)
+        members = keep.members()
+        index = {old: new for new, old in enumerate(members)}
+        return Graph._from_adjacency(
+            [sum(1 << index[u] for u in _mask_bits(self._adj[v] & mask)) for v in members]
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

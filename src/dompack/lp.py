@@ -150,19 +150,19 @@ def fractional_domination(g: Graph) -> LpSolution:
 @dataclass(frozen=True)
 class SandwichReport:
     rho: int
-    rho_f: Fraction
     gamma_f: Fraction
     gamma: int
 
     @property
     def holds(self) -> bool:
-        return self.rho <= self.rho_f == self.gamma_f <= self.gamma
+        return self.rho <= self.gamma_f <= self.gamma
 
 
 def verify_sandwich(
     g: Graph, *, gamma: SolveResult | None = None, rho: SolveResult | None = None
 ) -> SandwichReport:
-    """Compute rho <= rho_f = gamma_f <= gamma with exact arithmetic.
+    """Compute rho <= gamma_f <= gamma with exact arithmetic (gamma_f = rho_f
+    by LP duality, so the report holds gamma_f alone).
 
     `gamma` and `rho` are the results of `exact_domination` and
     `exact_packing`, solved here unless the caller already has them.  A
@@ -185,7 +185,7 @@ def verify_sandwich(
     else:
         # fractional_domination checked sum(y) == sum(x) == value.
         gamma_f = fractional_domination(g).value
-    return SandwichReport(rho=rho.value, rho_f=gamma_f, gamma_f=gamma_f, gamma=k)
+    return SandwichReport(rho=rho.value, gamma_f=gamma_f, gamma=k)
 
 
 def harmonic(k: int) -> Fraction:

@@ -522,9 +522,9 @@ def random_min_degree4_planar(seed: int, n: int) -> Graph:
             active &= ~(1 << v)
             low += [u for u in _mask_bits(adj[v] & active) if (adj[u] & active).bit_count() == 3]
         if active.bit_count() >= _MIN_CORE:
-            # Flips keep the triangulation simple and planar, so the graph is
-            # read from the edge list without freezing the workspace.
-            core = Graph(n, work.edges).induced_subgraph(VertexSet.from_mask(n, active))
+            # Flips never make a parallel edge, so the masks they kept are
+            # the graph's own, read without freezing the workspace.
+            core = Graph._from_adjacency(adj).induced_subgraph(VertexSet.from_mask(n, active))
             if core.min_degree() >= 4:
                 return core
     raise GenerationBudgetError(

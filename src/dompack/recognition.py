@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import GraphError
-from .graph import Graph, VertexSet, _layers, _mask_bits, _square_mask
+from .graph import Graph, VertexSet, _layers, _mask_bits, _set_mask, _square_mask
 
 
 def is_tree(g: Graph) -> bool:
@@ -272,18 +272,21 @@ def bipartition(g: Graph) -> tuple[VertexSet, VertexSet]:
 
 
 def split_clique(g: Graph, side: VertexSet) -> Graph:
-    """g plus all edges inside `side`; (side, complement) must 2-color g."""
-    for u, v in g.edges():
-        if (u in side) == (v in side):
+    """g plus all edges inside `side`; (side, complement) must 2-color g.
+    An error names the first edge of g.edges() inside a side: (v, u) for the
+    lowest such v and its lowest neighbour u on v's side, so u > v."""
+    s = _set_mask(g, side)
+    adj = []
+    for v, a in enumerate(g._adj):
+        inside = s >> v & 1
+        own = a & (s if inside else ~s)
+        if own:
             raise GraphError(
-                f"({u},{v}) joins one side: (side, complement) is not a bipartition"
+                f"({v},{(own & -own).bit_length() - 1}) joins one side: "
+                "(side, complement) is not a bipartition"
             )
-    extra = []
-    members = side.members()
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            extra.append((u, v))
-    return Graph(g.n, g.edges() + extra)
+        adj.append(a | (s ^ 1 << v) if inside else a)
+    return Graph._from_adjacency(adj)
 
 
 def is_chordal_bipartite(g: Graph) -> bool:

@@ -94,6 +94,13 @@ def test_gen_distance_hereditary():
         assert find_homogeneous_ordering(g) is not None
 
 
+def test_distance_hereditary_growth_keeps_the_vertex_cap():
+    # Growth builds its graph straight from masks; that entry must still
+    # refuse more than MAX_VERTICES vertices.
+    with pytest.raises(GraphError, match="vertex count"):
+        generate(GenSpec("distance-hereditary", 513, 0))
+
+
 def test_gen_rook_examples():
     assert gen_rook(1, 1).n == 1
     c4ish = gen_rook(2, 2)

@@ -213,10 +213,17 @@ def test_split_clique_examples():
     side, _ = bipartition(c6)
     assert split_clique(c6, side).m == 9  # three added edges
 
-    with pytest.raises(GraphError):
-        split_clique(c4, VertexSet(4, [0, 1]))
-    with pytest.raises(GraphError):
+    # The error names the first edge of g.edges() inside either side.
+    for members in ([0, 1], [2, 3]):
+        with pytest.raises(GraphError, match=r"^\(0,1\) joins one side"):
+            split_clique(c4, VertexSet(4, members))
+    with pytest.raises(GraphError, match=r"^\(1,2\) joins one side"):
         split_clique(gen_named("K3"), VertexSet(3, [0]))
+
+
+def test_split_clique_rejects_a_side_of_another_capacity():
+    with pytest.raises(GraphError, match="capacity"):
+        split_clique(gen_named("C4"), VertexSet(3, [0, 2]))
 
 
 def test_chordal_bipartite_examples():
