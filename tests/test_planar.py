@@ -477,6 +477,30 @@ def test_embedding_and_audit_leave_tuple_free_lists_alone():
     assert grown < 200
 
 
+def test_builder_embeddings_pinned():
+    # Edges, rotation and faces from each builder: the growth for n = 3..60,
+    # its cuts to every m, and the chord pass on the two inputs with no face
+    # to triangulate, where a vertex may have no dart at all.  The digest was
+    # taken with the builders that spliced each rotation in place.
+    digest = hashlib.sha256()
+    embeddings = [embed_maximal_planar(seed, n) for seed in range(4) for n in range(3, 61)]
+    embeddings += [
+        random_planar_embedding(seed, n, m)
+        for seed in range(3)
+        for n in (3, 4, 5, 7, 10, 16, 25)
+        for m in range(3 * n - 5)
+    ]
+    embeddings += [
+        triangulate_preserving_independent(PlanarEmbedding(1, [], [[]]), VertexSet(1, [0])),
+        triangulate_preserving_independent(PlanarEmbedding(2, [(0, 1)], [[0], [1]]), VertexSet(2, [1])),
+    ]
+    for emb in embeddings:
+        digest.update(repr((emb.edges, emb.rotation, emb.faces)).encode())
+    assert digest.hexdigest() == (
+        "19ec8e443698af633bb985732c0a1b2fcb341a537a000aad3b9dcd460ff8579e"
+    )
+
+
 def test_triangulation_chords_pinned():
     # Edges, rotation and faces of 179 triangulations; the digest was taken
     # with the version that rescanned from face 0 after every chord.
