@@ -221,7 +221,8 @@ class Graph:
 
 def _set_mask(g: Graph, s: VertexSet | None, default: int = 0) -> int:
     """The mask of `s` (`default` when s is None); a capacity other than g.n
-    is a `GraphError`."""
+    is a `GraphError`.  `g` may also be a `PlanarEmbedding`: only g.n is
+    read."""
     if s is None:
         return default
     if s.capacity != g.n:

@@ -24,7 +24,7 @@ from .errors import (
     GraphError,
     PreconditionError,
 )
-from .graph import Graph, VertexSet, _layers, _mask_bits
+from .graph import Graph, VertexSet, _layers, _mask_bits, _set_mask
 
 
 class TriangulationBlocked(DompackError, RuntimeError):
@@ -148,21 +148,44 @@ class PlanarEmbedding:
 
 
 class _MutableEmbedding:
-    """Dart-level workspace used by the builders, which splice its rotations
-    in place; frozen on finish()."""
+    """Dart-level workspace used by the builders: the edge list, the face
+    walks and `first[v]`, the first dart of v's rotation (-1 when v has
+    none).  The builders edit only the edges and the faces; the rotations
+    are read off the faces when the embedding is frozen."""
 
-    def __init__(
-        self,
-        edges: list[tuple[int, int]],
-        rot: list[list[int]],
-        faces: list[list[int]],
-    ):
+    def __init__(self, edges: list[tuple[int, int]], faces: list[list[int]], first: list[int]):
         self.edges = edges
-        self.rot = rot
         self.faces = faces  # dart walks
+        self.first = first
+
+    def successors(self) -> list[int]:
+        """nxt[d], the dart after d on its face."""
+        nxt = [0] * (2 * len(self.edges))
+        for walk in self.faces:
+            prev = walk[-1]
+            for d in walk:
+                nxt[prev] = d
+                prev = d
+        return nxt
+
+    def rotation(self) -> list[list[int]]:
+        """Each vertex's darts from its first one: the dart after x at its
+        tail is nxt[x ^ 1], since the face walk steps from x ^ 1 to it."""
+        nxt = self.successors()
+        rotation = []
+        for x in self.first:
+            darts = []
+            if x >= 0:
+                darts.append(x)
+                y = nxt[x ^ 1]
+                while y != x:
+                    darts.append(y)
+                    y = nxt[y ^ 1]
+            rotation.append(darts)
+        return rotation
 
     def finish(self) -> PlanarEmbedding:
-        return PlanarEmbedding(len(self.rot), self.edges, self.rot)
+        return PlanarEmbedding(len(self.first), self.edges, self.rotation())
 
 
 def _embed_maximal_planar(rng: random.Random, n: int) -> _MutableEmbedding:
@@ -170,14 +193,14 @@ def _embed_maximal_planar(rng: random.Random, n: int) -> _MutableEmbedding:
     face rng.randrange(len(faces)) = (da, db, dc), with tails a, b, c.
 
     The edges a-w, b-w and c-w are appended in that order, each with its
-    dart leaving a, b or c first; each goes into the rotation at its tail
-    after the reverse of the face dart entering that tail, and w's rotation
-    is the reverses in the order b, a, c.  The face becomes (da, b->w, w->a)
-    and (db, c->w, w->b), (dc, a->w, w->c) are appended.
+    dart leaving a, b or c first.  The face becomes (da, b->w, w->a) and
+    (db, c->w, w->b), (dc, a->w, w->c) are appended, so each new dart lands
+    in the rotation at its tail after the reverse of the face dart entering
+    that tail, and w's rotation is w->b, w->a, w->c, starting at w->b.
     """
     edges = [(0, 1), (1, 2), (2, 0)]
-    rot = [[0, 5], [2, 1], [4, 3]]
     faces = [[0, 2, 4], [1, 5, 3]]
+    first = [0, 2, 4]
     for w in range(3, n):
         face_idx = rng.randrange(len(faces))
         da, db, dc = faces[face_idx]
@@ -185,17 +208,11 @@ def _embed_maximal_planar(rng: random.Random, n: int) -> _MutableEmbedding:
         ga = 2 * len(edges)
         gb, gc = ga + 2, ga + 4
         edges += ((a, w), (b, w), (c, w))
-        darts = rot[a]
-        darts.insert(darts.index(dc ^ 1) + 1, ga)
-        darts = rot[b]
-        darts.insert(darts.index(da ^ 1) + 1, gb)
-        darts = rot[c]
-        darts.insert(darts.index(db ^ 1) + 1, gc)
-        rot.append([gb ^ 1, ga ^ 1, gc ^ 1])
+        first.append(gb ^ 1)
         faces[face_idx] = [da, gb, ga ^ 1]
         faces.append([db, gc, gb ^ 1])
         faces.append([dc, ga, gc ^ 1])
-    return _MutableEmbedding(edges, rot, faces)
+    return _MutableEmbedding(edges, faces, first)
 
 
 def embed_maximal_planar(seed: int, n: int) -> PlanarEmbedding:
@@ -249,7 +266,7 @@ def random_planar_embedding(seed: int, n: int, m: int) -> PlanarEmbedding:
         remap[old] = new
     rotation = [
         [2 * remap[d >> 1] + (d & 1) for d in darts if remap[d >> 1] >= 0]
-        for darts in work.rot
+        for darts in work.rotation()
     ]
     return PlanarEmbedding(n, [work.edges[e] for e in keep], rotation)
 
@@ -288,12 +305,11 @@ def triangulate_preserving_independent(
         raise PreconditionError("triangulation input must be simple") from None
     if not g.is_connected():
         raise PreconditionError("triangulation input must be connected")
-    ind = independent.mask
+    ind = _set_mask(emb, independent)
     if any((ind >> u) & (ind >> v) & 1 for u, v in emb.edges):
         raise PreconditionError("the designated set is not independent")
 
     edges = list(emb.edges)
-    rot = [list(r) for r in emb.rotation]
     faces = [list(f) for f in emb.faces]
     # One pass over the face list; enumerate also reaches the residual faces
     # appended below.  Every face before fi has length <= 3 and faces[fi]
@@ -316,20 +332,17 @@ def triangulate_preserving_independent(
                 best_j = j
         if best_j < 0:
             raise TriangulationBlocked(f"face {tuple(tails)} admits no chord")
-        # The chord h runs x = tail(d_j) -> z = tail(d_j+2): it goes after
-        # the reverse of d_j-1 at x and its reverse after that of d_j+1 at z,
-        # leaving the triangle (d_j, d_j+1, z->x) and the face (h, d_j+2, ...).
+        # The chord h runs x = tail(d_j) -> z = tail(d_j+2), leaving the
+        # triangle (d_j, d_j+1, z->x) and the face (h, d_j+2, ...).  So h
+        # follows the reverse of d_j-1 at x and h ^ 1 that of d_j+1 at z, and
+        # every vertex keeps the first dart of its rotation.
         from_j = walk[best_j:] + walk[:best_j]
-        x, z = tails[best_j], tails[best_j + 2 - k]
         h = 2 * len(edges)
-        edges.append((x, z))
-        darts = rot[x]
-        darts.insert(darts.index(from_j[-1] ^ 1) + 1, h)
-        darts = rot[z]
-        darts.insert(darts.index(from_j[1] ^ 1) + 1, h ^ 1)
+        edges.append((tails[best_j], tails[best_j + 2 - k]))
         faces[fi] = [from_j[0], from_j[1], h ^ 1]
         faces.append([h] + from_j[2:])
-    return PlanarEmbedding(emb.n, edges, rot)
+    first = [darts[0] if darts else -1 for darts in emb.rotation]
+    return _MutableEmbedding(edges, faces, first).finish()
 
 
 # -- discharging --------------------------------------------------------------
@@ -369,10 +382,10 @@ def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedg
     """
     if any(len(f) != 3 for f in emb.faces):
         raise PreconditionError("charge audit requires a triangulated embedding")
+    members = _set_mask(emb, low_independent)
     for v in low_independent:
         if emb.degree(v) > 7:
             raise PreconditionError(f"vertex {v} in the low set has degree > 7")
-    members = low_independent.mask
     edges = emb.edges
     if any((members >> u) & (members >> v) & 1 for u, v in edges):
         raise PreconditionError("designated low-degree set is not independent")
@@ -404,43 +417,29 @@ def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedg
 
 def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: int) -> list[int]:
     """Random diagonal flips on a triangulation; keeps it simple and maximal.
-    Returns the adjacency bitmask of each vertex after the flips.
+    Returns the adjacency bitmask of each vertex after the flips, and leaves
+    `work` as it was.
 
     Each attempt draws e = rng.randrange(len(work.edges)) and nothing else,
     so the seed alone fixes every flip.  For the faces f = (d, d1, d2) of
     dart d = 2e and g = (dr, g1, g2) of dr = 2e + 1, the attempt is skipped
     when dr lies on f, when c = tail(d2) equals z = tail(g2), or when c and
-    z are already adjacent.  Otherwise edge slot e becomes (c, z): d goes
-    after d1^1 at c and dr after g1^1 at z, and f and g become [d2, g1, dr]
-    and [d, g2, d1] in their slots of `work.faces`.
+    z are already adjacent.  Otherwise edge e becomes (c, z), and f and g
+    become (d2, g1, dr) and (d, g2, d1).
 
     The loop updates only flat tables, so a flip costs O(1): `tail[d]`;
-    `nxt[d]`, the dart after d on its face; `face_of[d]`, the slot of that
-    face, and `start[i]`, the dart the face in slot i starts at; `first[v]`,
-    the first dart of v's rotation; and `adj[v]`, the adjacency bitmask of
-    v, exact because no flip makes a parallel edge.  The edge list, the
-    rotations and the faces are rebuilt from them once, at the end.  A
-    rotation keeps its first dart until a flip takes that dart from v, and
-    then starts at the dart after it; each is read from there by the step
-    x -> nxt[x ^ 1], the dart after x at its tail.
+    `nxt[d]`, the dart after d on its face; and `adj[v]`, the adjacency
+    bitmask of v, exact because no flip makes a parallel edge.
     """
-    edges, rot, faces = work.edges, work.rot, work.faces
-    tail = [x for e in edges for x in e]
-    adj = [0] * len(rot)
-    for u, v in edges:
+    if any(len(walk) != 3 for walk in work.faces):
+        raise EmbeddingError("flip requires triangular faces")
+    tail = [x for e in work.edges for x in e]
+    adj = [0] * len(work.first)
+    for u, v in work.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    nxt = [0] * len(tail)
-    face_of = [0] * len(tail)
-    for fi, walk in enumerate(faces):
-        if len(walk) != 3:
-            raise EmbeddingError("flip requires triangular faces")
-        a, b, c = walk
-        nxt[a], nxt[b], nxt[c] = b, c, a
-        face_of[a] = face_of[b] = face_of[c] = fi
-    start = [walk[0] for walk in faces]
-    first = [darts[0] for darts in rot]
-    randrange, m = rng.randrange, len(edges)
+    nxt = work.successors()
+    randrange, m = rng.randrange, len(work.edges)
     for _ in range(attempts):
         d = 2 * randrange(m)
         dr = d + 1
@@ -457,25 +456,8 @@ def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: in
         adj[c] |= 1 << z
         adj[z] |= 1 << c
         tail[d], tail[dr] = c, z
-        if first[u] == d:
-            first[u] = g1  # the dart after d at u
-        if first[v] == dr:
-            first[v] = d1
         nxt[d2], nxt[g1], nxt[dr] = g1, dr, d2
         nxt[d], nxt[g2], nxt[d1] = g2, d1, d
-        fi, gi = face_of[d], face_of[dr]
-        start[fi], start[gi] = d2, d
-        face_of[g1] = face_of[dr] = fi
-        face_of[d] = face_of[d1] = gi
-    edges[:] = zip(tail[0::2], tail[1::2])
-    for v, x in enumerate(first):
-        darts = [x]
-        y = nxt[x ^ 1]
-        while y != x:
-            darts.append(y)
-            y = nxt[y ^ 1]
-        rot[v] = darts
-    faces[:] = [[x, nxt[x], nxt[nxt[x]]] for x in start]
     return adj
 
 

@@ -5,11 +5,25 @@ face, rebuilds the whole edge set to test adjacency, merges the two faces
 into a quadrilateral and splits it along the other diagonal.  One flip costs
 O(n), but the steps follow the definition directly and share no flip code
 with `dompack.planar`, so the tests use it as the oracle for the incremental
-flip: on a `_MutableEmbedding` workspace and the same `random.Random`, both
-must leave equal edges, rotation and faces and the generator in equal state.
+flip.  It edits its own `Workspace`, which splices every rotation in place:
+started from the same growth and the same `random.Random` state, it must
+leave the adjacency the incremental flip returns and the generator in equal
+state.
 """
 
+from dataclasses import dataclass
+
 from dompack.errors import EmbeddingError
+
+
+@dataclass
+class Workspace:
+    """An edge list, each vertex's rotation and the face walks, as lists of
+    darts that the flips edit in place."""
+
+    edges: list
+    rot: list
+    faces: list
 
 
 def _tail(work, d):

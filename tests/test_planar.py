@@ -181,6 +181,15 @@ def test_triangulate_preconditions():
     assert not isinstance(exc.value, PreconditionError)
 
 
+def test_planar_calls_check_vertex_set_capacity():
+    # A vertex set passed with an embedding must have capacity emb.n, as one
+    # passed with a graph must have capacity g.n.
+    with pytest.raises(GraphError, match="vertex set of capacity 10 used with a graph on n = 4"):
+        charge_audit(embed_maximal_planar(0, 4), VertexSet(10, [7]))
+    with pytest.raises(GraphError, match="vertex set of capacity 12 used with a graph on n = 8"):
+        triangulate_preserving_independent(embed_maximal_planar(0, 8), VertexSet(12, [10]))
+
+
 def test_triangulate_never_blocks_exhaustive_small():
     # Every connected planar graph on <= 7 vertices with minimum degree >= 2
     # (one networkx embedding each), with every nonempty independent set.
@@ -397,23 +406,30 @@ def test_charge_audit_matches_fraction_reference(icosahedron):
 
 
 def test_incremental_flip_matches_rebuild_reference():
-    # Every (seed, n) pair: equal edges, rotation, faces and generator state,
-    # and each flipped workspace freezes into a simple triangulated embedding
-    # (`finish` checks the rotation system and Euler's formula), which
-    # `random_min_degree4_planar` leaves unchecked.
+    # Every (seed, n) pair: from one growth, the reference flips its own
+    # workspace and the incremental flip its flat tables.  Both must reach
+    # the same adjacency and generator state, the workspace must freeze into
+    # a simple triangulated embedding (`PlanarEmbedding` checks the rotation
+    # system and Euler's formula), which `random_min_degree4_planar` leaves
+    # unchecked, and the growth must be left as it was.
     pairs = 0
     for seed in range(18):
         for n in range(4, 61):
-            results = []
-            for flip in (flip_reference.flip_random_edges, _flip_random_edges):
-                rng = random.Random(derive_seed(seed, n))
-                work = _embed_maximal_planar(rng, n)
-                flip(work, rng, len(work.edges) // 4)
-                emb = work.finish()
-                assert emb.is_triangulated() and emb.is_simple()
-                faces = sorted(tuple(f) for f in work.faces)
-                results.append((work.edges, work.rot, faces, rng.random()))
-            assert results[0] == results[1], (seed, n)
+            rng = random.Random(derive_seed(seed, n))
+            work = _embed_maximal_planar(rng, n)
+            grown = repr((work.edges, work.faces, work.first))
+            ref = flip_reference.Workspace(
+                list(work.edges), work.rotation(), [list(f) for f in work.faces]
+            )
+            ref_rng = random.Random()
+            ref_rng.setstate(rng.getstate())
+            flip_reference.flip_random_edges(ref, ref_rng, len(ref.edges) // 4)
+            emb = PlanarEmbedding(n, ref.edges, ref.rot)
+            assert emb.is_triangulated() and emb.is_simple()
+            adj = _flip_random_edges(work, rng, len(work.edges) // 4)
+            assert adj == [emb.graph().adjacency_mask(v) for v in range(n)], (seed, n)
+            assert rng.random() == ref_rng.random(), (seed, n)
+            assert repr((work.edges, work.faces, work.first)) == grown
             pairs += 1
     assert pairs >= 1000
 
@@ -480,8 +496,8 @@ def test_embedding_and_audit_leave_tuple_free_lists_alone():
 def test_builder_embeddings_pinned():
     # Edges, rotation and faces from each builder: the growth for n = 3..60,
     # its cuts to every m, and the chord pass on the two inputs with no face
-    # to triangulate, where a vertex may have no dart at all.  The digest was
-    # taken with the builders that spliced each rotation in place.
+    # to triangulate, one vertex (with no dart at all) and one edge.  The
+    # digest was taken with the builders that spliced each rotation in place.
     digest = hashlib.sha256()
     embeddings = [embed_maximal_planar(seed, n) for seed in range(4) for n in range(3, 61)]
     embeddings += [
@@ -490,9 +506,11 @@ def test_builder_embeddings_pinned():
         for n in (3, 4, 5, 7, 10, 16, 25)
         for m in range(3 * n - 5)
     ]
+    one_vertex = PlanarEmbedding(1, [], [[]])
+    one_edge = PlanarEmbedding(2, [(0, 1)], [[0], [1]])
     embeddings += [
-        triangulate_preserving_independent(PlanarEmbedding(1, [], [[]]), VertexSet(1, [0])),
-        triangulate_preserving_independent(PlanarEmbedding(2, [(0, 1)], [[0], [1]]), VertexSet(2, [1])),
+        triangulate_preserving_independent(one_vertex, VertexSet(1, [0])),
+        triangulate_preserving_independent(one_edge, VertexSet(2, [1])),
     ]
     for emb in embeddings:
         digest.update(repr((emb.edges, emb.rotation, emb.faces)).encode())
