@@ -224,6 +224,31 @@ def test_triangulate_blocked_on_pathological_input():
         triangulate_preserving_independent(emb, VertexSet(3, [0, 2]))
 
 
+# The triangulate campaign's instance 100 at seed 0 when its draws kept the
+# sampled edges in insertion order: an earlier lowest-pair chord rule left a
+# residual face of its 7-face whose only chord joined 0 and 1, both in I.
+BLOCKED_ONCE_EDGES = [
+    (1, 2), (2, 0), (1, 3), (2, 3), (2, 4), (0, 4), (2, 5), (4, 5), (1, 6), (2, 6), (3, 6),
+    (1, 7), (2, 7), (6, 7), (4, 8), (5, 8), (6, 9), (1, 9), (7, 9), (3, 10), (1, 10), (6, 10),
+]
+BLOCKED_ONCE_ROTATION = [
+    [3, 10], [0, 4, 40, 16, 34, 22], [2, 1, 24, 18, 6, 12, 8], [5, 7, 20, 38], [11, 9, 28, 14],
+    [13, 15, 30], [19, 26, 32, 17, 42, 21], [25, 23, 36, 27], [29, 31], [35, 33, 37],
+    [41, 39, 43],
+]
+
+
+def test_triangulate_input_that_once_blocked():
+    emb = PlanarEmbedding(11, BLOCKED_ONCE_EDGES, BLOCKED_ONCE_ROTATION)
+    g = emb.graph()
+    assert emit_graph6(g) == "JZgjbCKOqc?"
+    ind = greedy_maximal_independent_set(g)
+    assert sorted(ind) == [0, 1, 5]
+    tri = triangulate_preserving_independent(emb, ind)
+    assert tri.is_triangulated()
+    assert not any((ind.mask >> u) & (ind.mask >> v) & 1 for u, v in tri.edges)
+
+
 def test_find_low_degree_edge_examples():
     ico = gen_named("icosahedron")
     edge = find_low_degree_edge(ico)
@@ -493,14 +518,21 @@ def test_embedding_and_audit_leave_tuple_free_lists_alone():
     assert grown < 200
 
 
-def test_builder_embeddings_pinned():
-    # Edges, rotation and faces from each builder: the growth for n = 3..60,
-    # its cuts to every m, and the chord pass on the two inputs with no face
-    # to triangulate, one vertex (with no dart at all) and one edge.  The
-    # digest was taken with the builders that spliced each rotation in place.
+def embeddings_digest(embeddings) -> str:
     digest = hashlib.sha256()
-    embeddings = [embed_maximal_planar(seed, n) for seed in range(4) for n in range(3, 61)]
-    embeddings += [
+    for emb in embeddings:
+        digest.update(repr((emb.edges, emb.rotation, emb.faces)).encode())
+    return digest.hexdigest()
+
+
+def test_builder_embeddings_pinned():
+    # Edges, rotation and faces from each builder, one digest per builder:
+    # the growth for n = 3..60, its cuts to every m, and the chord pass on
+    # the two inputs with no face to triangulate, one vertex (with no dart at
+    # all) and one edge.  The digests were taken with the builders that
+    # spliced each rotation in place.
+    growth = [embed_maximal_planar(seed, n) for seed in range(4) for n in range(3, 61)]
+    cuts = [
         random_planar_embedding(seed, n, m)
         for seed in range(3)
         for n in (3, 4, 5, 7, 10, 16, 25)
@@ -508,14 +540,18 @@ def test_builder_embeddings_pinned():
     ]
     one_vertex = PlanarEmbedding(1, [], [[]])
     one_edge = PlanarEmbedding(2, [(0, 1)], [[0], [1]])
-    embeddings += [
+    chord_pass = [
         triangulate_preserving_independent(one_vertex, VertexSet(1, [0])),
         triangulate_preserving_independent(one_edge, VertexSet(2, [1])),
     ]
-    for emb in embeddings:
-        digest.update(repr((emb.edges, emb.rotation, emb.faces)).encode())
-    assert digest.hexdigest() == (
-        "19ec8e443698af633bb985732c0a1b2fcb341a537a000aad3b9dcd460ff8579e"
+    assert embeddings_digest(growth) == (
+        "53a5aea55f15a71aa5e293b16dff5293bcf75e960c30b158458331669e0a2aca"
+    )
+    assert embeddings_digest(cuts) == (
+        "92d9662f8b62971bc129b130b909f81a62b38f722e01395700ff6db4f7898ba2"
+    )
+    assert embeddings_digest(chord_pass) == (
+        "713f4f854d07cf1985b78fa6943046477bdfb789315568e8f40e5e374e94e462"
     )
 
 
