@@ -43,7 +43,6 @@ from .planar import (
     embed_maximal_planar,
     find_low_degree_edge,
     random_min_degree4_planar,
-    random_planar_edges,
     random_planar_embedding,
     triangulate_preserving_independent,
 )
@@ -264,7 +263,7 @@ def cmd_compute(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _instance_spec(cls: str, index: int, seed: int, max_n: int, x_prob: float) -> GenSpec:
+def _instance_spec(cls: str, index: int, seed: int, max_n: int) -> GenSpec:
     sub = derive_seed(seed, index)
     rng = random.Random(sub)
     if cls == "tree":
@@ -287,14 +286,14 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int, x_prob: float) -
         return GenSpec("distance-hereditary", rng.randrange(2, max_n + 1), sub)
     if cls == "planar":
         n = rng.randrange(4, max_n + 1)
-        return GenSpec("planar", n, sub, {"m": rng.randrange(0, 3 * n - 5), "x_prob": x_prob})
+        return GenSpec("planar", n, sub, {"m": rng.randrange(0, 3 * n - 5)})
     if cls == "rook":
         k = 2 + index % max(1, int(math.isqrt(max_n)) - 1)
         return GenSpec("rook", k * k, sub, {"k": k, "l": k})
     return GenSpec("gnp", rng.randrange(2, max_n + 1), sub, {"edge_prob": 0.5})  # "any"
 
 
-def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
+def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -> dict:
     t0 = time.perf_counter()
     fields = {"genspec": dataclasses.asdict(spec), "bound": bound}
     try:
@@ -311,7 +310,6 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_samples: int) -> dict:
     passed = gamma <= bound * rho
     if x_samples:
         rng = random.Random(derive_seed(spec.seed, 991))
-        x_prob = spec.params.get("x_prob", 0.25)
         x_checks = []
         for _ in range(x_samples):
             x = VertexSet(g.n, [v for v in range(g.n) if rng.random() < x_prob])
@@ -335,7 +333,7 @@ def cmd_verify(args) -> int:
     _in_range("--x-samples", args.x_samples, 0)
     _in_range("--jobs", args.jobs, 1)
     seed = _seed(args)
-    specs = [_instance_spec(cls, i, seed, max_n, args.x_prob) for i in range(args.count)]
+    specs = [_instance_spec(cls, i, seed, max_n) for i in range(args.count)]
     x_samples = args.x_samples if cls == "planar" else 0
     out = _Output(args)
     worst = Fraction(0)
@@ -347,7 +345,7 @@ def cmd_verify(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             solve = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
-        for rec in solve(_verify_one, specs, repeat(bound), repeat(x_samples)):
+        for rec in solve(_verify_one, specs, repeat(bound), repeat(args.x_prob), repeat(x_samples)):
             out.record(rec)
             attempts += rec.get("gen_attempts", 0)
             if "error" in rec:
@@ -416,15 +414,15 @@ def cmd_construct(args) -> int:
 
 def _connected_min_degree2_embedding(seed: int, n_max: int):
     """The first draw for `seed` whose graph is connected with minimum degree
-    >= 2, as an embedding and its graph.  Each draw's edge list is tested
-    before any embedding is built; only the accepted draw is grown again
-    from its seed and frozen."""
+    >= 2, as an embedding and its graph.  Each draw is tested as the graph
+    of a `planar` GenSpec before any embedding is built; only the accepted
+    draw is grown again from its seed and frozen."""
     for attempt in range(10_000):
         sub = derive_seed(seed, attempt)
         rng = random.Random(sub)
         n = rng.randrange(4, n_max + 1)
         m = rng.randrange(int(1.4 * n), 3 * n - 5)
-        g = Graph(n, random_planar_edges(sub, n, m))
+        g = generate(GenSpec("planar", n, sub, {"m": m}))
         if g.min_degree() >= 2 and g.is_connected():
             return random_planar_embedding(sub, n, m), g
     raise DompackError("could not generate a connected min-degree-2 planar graph")

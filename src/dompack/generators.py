@@ -258,6 +258,8 @@ def generate(spec: GenSpec) -> Graph:
     if family == "rook":
         k = spec.params.get("k", spec.n)
         l = spec.params.get("l", k)
+        if k * l != spec.n:
+            raise GraphError(f"rook spec has n = {spec.n}, but K{k} x K{l} has {k * l} vertices")
         return gen_rook(k, l)
     if family == "gnp":
         return gen_gnp(spec)
@@ -267,10 +269,6 @@ def generate(spec: GenSpec) -> Graph:
         from .planar import random_planar
 
         return random_planar(spec.seed, spec.n, spec.params["m"])
-    if family == "max-planar":
-        from .planar import embed_maximal_planar
-
-        return embed_maximal_planar(spec.seed, spec.n).graph()
     if family == "min-degree-4-planar":
         from .planar import random_min_degree4_planar
 

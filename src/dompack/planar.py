@@ -225,41 +225,42 @@ def embed_maximal_planar(seed: int, n: int) -> PlanarEmbedding:
 
 
 def _cut_maximal_planar(seed: int, n: int, m: int) -> tuple[_MutableEmbedding, list[int]]:
-    """The maximal planar graph grown for `seed` and the indices, in
-    insertion order, of m of its edges, drawn after the growth from the same
-    generator."""
+    """The maximal planar graph grown for `seed` and the insertion indices
+    of m of its edges: the edges at positions drawn, after the growth and
+    from the same generator, in the edge list sorted by (lower, higher)
+    endpoint, listed in that sorted order.
+
+    No sort is needed.  Every edge joins an older vertex to a newer one, so
+    the edges bucketed by their lower endpoint are each in insertion order,
+    which is their order by higher endpoint, and the buckets concatenated
+    are the sorted list.  random.sample picks the same positions whatever
+    its population holds, so these are the edges that sampling the sorted
+    list itself keeps.
+    """
     if n < 3:
         raise GraphError("random planar graphs need n >= 3")
     if not 0 <= m <= 3 * n - 6:
         raise GraphError(f"edge count {m} outside 0..{3 * n - 6}")
     rng = random.Random(seed)
     work = _embed_maximal_planar(rng, n)
-    total = len(work.edges)
-    return work, sorted(rng.sample(range(total), m)) if m < total else list(range(total))
+    buckets = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(work.edges):
+        buckets[u if u < v else v].append(e)
+    order = [e for bucket in buckets for e in bucket]
+    return work, [order[p] for p in sorted(rng.sample(range(len(order)), m))]
 
 
 def random_planar(seed: int, n: int, m: int) -> Graph:
     """Planar-by-construction graph: maximal planar, then uniform edge
-    deletions down to m edges.  The drawn indices pick positions in the
-    sorted edge list (random.sample never looks at its population)."""
+    deletions down to m edges; the graph of random_planar_embedding."""
     work, keep = _cut_maximal_planar(seed, n, m)
-    full = sorted((min(u, v), max(u, v)) for u, v in work.edges)
-    return Graph(n, [full[p] for p in keep])
-
-
-def random_planar_edges(seed: int, n: int, m: int) -> list[tuple[int, int]]:
-    """The edge list of random_planar_embedding(seed, n, m), in its order,
-    without cutting the rotations or freezing an embedding: the draw to test
-    before building one."""
-    work, keep = _cut_maximal_planar(seed, n, m)
-    return [work.edges[e] for e in keep]
+    return Graph(n, [work.edges[e] for e in keep])
 
 
 def random_planar_embedding(seed: int, n: int, m: int) -> PlanarEmbedding:
-    """Planar graph with its rotation system: random_planar's maximal planar
-    graph for `seed`, cut to the m edges at random_planar's drawn positions
-    but in insertion order rather than sorted (so in general another graph),
-    each rotation restricted to the kept edges."""
+    """random_planar(seed, n, m) with its rotation system: the kept edges,
+    in sorted order, and each rotation of the maximal planar graph
+    restricted to them."""
     work, keep = _cut_maximal_planar(seed, n, m)
     remap = [-1] * len(work.edges)  # new index of each kept edge
     for new, old in enumerate(keep):

@@ -397,9 +397,9 @@ def test_lemmacheck_all(capsys):
 
 
 def test_lemmacheck_records_carry_their_graph(capsys, monkeypatch):
-    # Instance 100 of seed 0 once made the lowest-pair chord rule block; the
-    # campaign now passes, and every record, failed ones included, names its
-    # input graph and its cost.
+    # The campaign passes (tests/test_planar.py keeps the input that once
+    # blocked the chord rule as a literal), and every record, failed ones
+    # included, names its input graph and its cost.
     code, out = run_cli(
         capsys, "lemmacheck", "--lemma", "triangulate", "--count", "200",
         "--seed", "0", "--format", "json",
@@ -407,7 +407,7 @@ def test_lemmacheck_records_carry_their_graph(capsys, monkeypatch):
     assert code == 0
     records, _ = json_records(out)
     assert (records[100]["graph6"], records[100]["n"], records[100]["m"]) == (
-        "JZgjbCKOqc?", 11, 22,
+        "J^KzBCk?oc?", 11, 22,
     )
 
     import dompack.cli
@@ -631,7 +631,7 @@ PINNED_RUNS = (
 )
 # sha256 of PINNED_RUNS' exit codes and JSON output, wall_time stripped: any
 # change to an answer, witness, ordering, field or exit status shows here.
-PINNED_OUTPUT_SHA256 = "5ac71f2492e8395ae85c403b55609ce5dd90b86b9c93852af3d506ae940dd37c"
+PINNED_OUTPUT_SHA256 = "b041131f46f3ce9c6bbf25034f11059cec6068f7b83a91105164f280b1b26342"
 
 
 def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
@@ -658,7 +658,7 @@ def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
 LEMMA_ROUND = (("triangulate", 200, 0), ("discharge", 70, 1), ("charge-audit", 400, 1))
 # sha256 of LEMMA_ROUND's exit codes and JSON output, wall_time stripped: a
 # faster planar layer must check the same instances with the same answers.
-PINNED_LEMMA_ROUND_SHA256 = "873fb8a673ed0d1451f473efa402d472b02133f996f110e9013bde363534baad"
+PINNED_LEMMA_ROUND_SHA256 = "eb4fde4b0297673c3a9324d864e6d65f76ad3ca91c160df1a503395ecea17d92"
 
 
 def test_lemma_round_is_pinned(capsys):
@@ -697,8 +697,8 @@ def pinned_text(tmp_path_factory):
 # sha256 per format of PINNED_RUNS' exit codes and output, CSV's last column
 # (wall_time) cut off: the table and CSV layouts, row by row.
 PINNED_TEXT_SHA256 = {
-    "table": "401f9047e59e3f91750c3d8163c17bb910fa36a0cac1de749db0fae60c4add6a",
-    "csv": "53b8df527129c5a3d693840aae8cc2d4bd388c1c4929dd38c5a67e9a377e9348",
+    "table": "e42c41ba03b2ff96557cc99e9ad2cce5a5aadd96bfe36dd922d4c7d2a7a1f201",
+    "csv": "6cbaf28c17019c4385c9c23ceee371de2a61c3a9e6bffbc3b34991965c367928",
 }
 
 

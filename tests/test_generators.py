@@ -111,6 +111,14 @@ def test_gen_rook_examples():
     assert r33.second_masks == ((1 << 9) - 1,) * 9  # diameter 2, not 1: degree 4
 
 
+def test_rook_specs_state_their_vertex_count():
+    assert generate(GenSpec("rook", 6, 0, {"k": 2, "l": 3})).n == 6
+    assert generate(GenSpec("rook", 1, 0)).n == 1
+    for spec in (GenSpec("rook", 9, 1), GenSpec("rook", 9, 0, {"k": 3, "l": 4})):
+        with pytest.raises(GraphError, match="rook"):
+            generate(spec)
+
+
 def test_gen_named():
     assert gen_named("C4").m == 4
     ico = gen_named("icosahedron")
@@ -135,7 +143,7 @@ def test_generate_dispatch_replay():
         GenSpec("gnp", 10, 9, {"edge_prob": 0.4}),
         GenSpec("named", 4, 0, {"name": "C4"}),
         GenSpec("planar", 12, 10, {"m": 20}),
-        GenSpec("max-planar", 9, 11),
+        GenSpec("planar", 9, 11, {"m": 21}),
         GenSpec("min-degree-4-planar", 20, 12),
     ]
     for spec in specs:

@@ -114,6 +114,21 @@ def test_random_planar_examples():
         random_planar(5, 10, -1)
 
 
+def test_random_planar_is_the_graph_of_its_embedding():
+    # One draw per (seed, n, m): the embedding keeps the edges random_planar
+    # keeps, and the full draw is the maximal planar growth itself.
+    import dompack.planar
+
+    assert not hasattr(dompack.planar, "random_planar_edges")
+    for seed in range(3):
+        for n in (3, 4, 5, 7, 10, 16, 25):
+            for m in range(3 * n - 5):
+                assert random_planar_embedding(seed, n, m).graph() == random_planar(seed, n, m)
+            assert random_planar(seed, n, 3 * n - 6) == embed_maximal_planar(seed, n).graph()
+    with pytest.raises(GraphError, match="unknown generator family"):
+        generate(GenSpec("max-planar", 9, 11))
+
+
 def test_triangulate_c4_parallel_edges():
     # Two opposite independent vertices force a doubled edge between the
     # other two: the classic non-simple triangulation.
@@ -529,8 +544,9 @@ def test_builder_embeddings_pinned():
     # Edges, rotation and faces from each builder, one digest per builder:
     # the growth for n = 3..60, its cuts to every m, and the chord pass on
     # the two inputs with no face to triangulate, one vertex (with no dart at
-    # all) and one edge.  The digests were taken with the builders that
-    # spliced each rotation in place.
+    # all) and one edge.  The growth and chord-pass digests were taken with
+    # the builders that spliced each rotation in place, the cuts digest when
+    # the cuts began keeping random_planar's edges.
     growth = [embed_maximal_planar(seed, n) for seed in range(4) for n in range(3, 61)]
     cuts = [
         random_planar_embedding(seed, n, m)
@@ -548,7 +564,7 @@ def test_builder_embeddings_pinned():
         "53a5aea55f15a71aa5e293b16dff5293bcf75e960c30b158458331669e0a2aca"
     )
     assert embeddings_digest(cuts) == (
-        "92d9662f8b62971bc129b130b909f81a62b38f722e01395700ff6db4f7898ba2"
+        "101d5084be86ee61932301b91754eb60d22bfc6f849354cacdc7b978bbefd90b"
     )
     assert embeddings_digest(chord_pass) == (
         "713f4f854d07cf1985b78fa6943046477bdfb789315568e8f40e5e374e94e462"
@@ -556,8 +572,8 @@ def test_builder_embeddings_pinned():
 
 
 def test_triangulation_chords_pinned():
-    # Edges, rotation and faces of 179 triangulations; the digest was taken
-    # with the version that rescanned from face 0 after every chord.
+    # Edges, rotation and faces of 171 triangulations of
+    # random_planar_embedding's draws.
     digest = hashlib.sha256()
     for attempt in range(400):
         rng = random.Random(derive_seed(5, attempt))
@@ -569,5 +585,5 @@ def test_triangulation_chords_pinned():
             tri = triangulate_preserving_independent(emb, greedy_maximal_independent_set(g))
             digest.update(repr((tri.edges, tri.rotation, tri.faces)).encode())
     assert digest.hexdigest() == (
-        "301995802202bd3e167ee00b25bf998f259b7caba22d0cd7a4f6bb170f948df1"
+        "6c265a5ecb979ab3f20ac6436ffcd2b02fb195b779c068edcd08c13268ecb3aa"
     )
