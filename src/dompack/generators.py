@@ -264,7 +264,11 @@ def generate(spec: GenSpec) -> Graph:
     if family == "gnp":
         return gen_gnp(spec)
     if family == "named":
-        return gen_named(spec.params["name"])
+        name = spec.params["name"]
+        g = gen_named(name)
+        if g.n != spec.n:
+            raise GraphError(f"named spec has n = {spec.n}, but {name} has {g.n} vertices")
+        return g
     if family == "planar":
         from .planar import random_planar
 
@@ -279,15 +283,14 @@ def generate(spec: GenSpec) -> Graph:
 # -- isomorphism-free enumeration (test corpora) ------------------------------
 
 
-def _tree_canonical(n: int, adj: list[set[int]]) -> tuple:
-    """AHU canonical form of a free tree, rooted at its center(s)."""
-
-    def rooted(root: int, parent: int) -> tuple:
-        return tuple(sorted(rooted(c, root) for c in adj[root] if c != parent))
-
+def _tree_canonical(n: int, adj: list[list[int]]) -> tuple:
+    """AHU canonical form of a free tree, rooted at its center(s): the form of
+    a vertex is the sorted tuple of its children's forms, and the tree's is
+    the least root form over its centers.  Each root form is built bottom-up
+    over a BFS order from its center."""
     if n == 1:
         return ((),)
-    degree = [len(adj[v]) for v in range(n)]
+    degree = [len(a) for a in adj]
     leaves = [v for v in range(n) if degree[v] <= 1]
     removed = len(leaves)
     while removed < n:
@@ -303,8 +306,22 @@ def _tree_canonical(n: int, adj: list[set[int]]) -> tuple:
             break
         removed += len(nxt)
         leaves = nxt
-    centers = leaves
-    return min(rooted(c, -1) for c in centers)
+    forms = []
+    for center in leaves:
+        parent = [-1] * n
+        order = [center]
+        for v in order:  # grows while it is read: a BFS
+            for u in adj[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    order.append(u)
+        kids: list[list[tuple]] = [[] for _ in range(n)]
+        for v in reversed(order[1:]):
+            kids[v].sort()
+            kids[parent[v]].append(tuple(kids[v]))
+        kids[center].sort()
+        forms.append(tuple(kids[center]))
+    return min(forms)
 
 
 def all_trees(n: int) -> list[Graph]:
@@ -316,24 +333,32 @@ def all_trees(n: int) -> list[Graph]:
     """
     if n < 1:
         raise GraphError("trees need n >= 1")
-    return [Graph(n, edges) for edges in _tree_level(n)[1]]
+    return [Graph._from_adjacency(masks) for masks in _tree_level(n)[1]]
 
 
 @functools.cache
-def _tree_level(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """The edge lists of the trees on n vertices twice: in the order they were
-    first found, which level n + 1 extends, and in canonical-form order."""
+def _tree_level(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The adjacency masks of the trees on n vertices twice: in the order they
+    were first found, which level n + 1 extends, and in canonical-form order.
+    Each tree of level n - 1 keeps one adjacency list, to which each new leaf
+    n - 1 is added and from which it is taken again."""
     if n == 1:
-        return ((),), ((),)
-    found: dict[tuple, tuple[tuple[int, int], ...]] = {}
-    for edges in _tree_level(n - 1)[0]:
+        return ((0,),), ((0,),)
+    found: dict[tuple, tuple[int, ...]] = {}
+    leaf = 1 << n - 1
+    for masks in _tree_level(n - 1)[0]:
+        adj = [list(_mask_bits(a)) for a in masks]
+        adj.append([])
         for v in range(n - 1):
-            cand = edges + ((v, n - 1),)
-            adj: list[set[int]] = [set() for _ in range(n)]
-            for a, b in cand:
-                adj[a].add(b)
-                adj[b].add(a)
-            found.setdefault(_tree_canonical(n, adj), cand)
+            adj[v].append(n - 1)
+            adj[n - 1].append(v)
+            key = _tree_canonical(n, adj)
+            if key not in found:
+                grown = list(masks)
+                grown[v] |= leaf
+                found[key] = (*grown, 1 << v)
+            adj[v].pop()
+            adj[n - 1].pop()
     return tuple(found.values()), tuple(found[key] for key in sorted(found))
 
 

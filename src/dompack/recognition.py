@@ -160,46 +160,94 @@ def find_h_extremal_witness(g: Graph, v: int) -> VertexSet | None:
 
 def _eliminate(
     adj: tuple[int, ...],
-    local: Callable[[tuple[int, ...], int, int], object],
+    local: Callable[[tuple[int, ...], int, int], tuple[object, int]],
     whole: Callable[[tuple[int, ...], int], bool] | None = None,
 ) -> tuple[int, ...] | None:
     """Remove the lowest vertex v that passes local(adj, active, v) and, when
     given, whole(adj, active - v), until none is left; the removal order, or
     None once no vertex qualifies.
 
-    local(adj, active, v) must depend only on g[active] within distance 2 of
-    v, so its result is kept until a vertex within distance 2 of v goes:
-    removing v marks only N^2[v] for a re-test.  `whole` runs on every try.
+    local(adj, active, v) returns (passes, watch): whether v passes in
+    g[active], and a mask such that removing vertices outside it leaves that
+    answer as it is.  The answer is kept until a vertex of `watch` is
+    removed, so a test that watches nothing runs once per vertex.  `whole`
+    runs on every try.
     """
     active = (1 << len(adj)) - 1
     stale = active  # vertices whose kept local result is out of date
     passes = 0  # vertices whose kept local result is true
+    watch = [0] * len(adj)
+    watchers = [0] * len(adj)  # watchers[w]: vertices that watched w, now or before
     perm = []
     while active:
-        rest = active
+        rest = stale | passes  # a vertex kept as failing cannot qualify
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             if stale & low:
                 stale ^= low
-                if local(adj, active, v):
+                ok, watch[v] = local(adj, active, v)
+                if ok:
                     passes |= low
+                seen = watch[v]
+                while seen:
+                    w = seen & -seen
+                    watchers[w.bit_length() - 1] |= low
+                    seen ^= w
             if passes & low and (whole is None or whole(adj, active ^ low)):
                 break
             rest ^= low
         else:
             return None
         perm.append(v)
-        square = low  # N^2[v] in g[active], and removed vertices never read again
-        rest = (adj[v] & active) | low
-        while rest:
-            near = rest & -rest
-            square |= adj[near.bit_length() - 1]
-            rest ^= near
-        stale |= square
-        passes &= ~square
         active ^= low
+        passes ^= low
+        hit = watchers[v] & active & ~stale
+        while hit:
+            u = hit & -hit
+            if watch[u.bit_length() - 1] & low:  # not an entry left by an older watch
+                stale |= u
+                passes &= ~u
+            hit ^= u
     return tuple(perm)
+
+
+def _h_extremal_kept(adj: tuple[int, ...], active: int, v: int) -> tuple[int, int]:
+    """`_h_extremal` for `_eliminate`: its answer reads g[active] within
+    distance 2 of v only, so it watches N^2[v]."""
+    return _h_extremal(adj, active, v), _square_mask(adj, active, v)
+
+
+def _is_distance_hereditary(adj: tuple[int, ...], active: int) -> bool:
+    """Bandelt and Mulder (J. Combin. Theory B 41, 1986): g[active] is
+    distance-hereditary iff deleting pendant vertices and twins, in any
+    order, leaves only isolated vertices.
+
+    Each pass keys every vertex it keeps by its open and closed
+    neighbourhoods in the current g[active]: v is a false twin of a kept
+    vertex when their open ones are equal, and a true twin when their closed
+    ones are.  No open neighbourhood equals a closed one, so one set holds
+    both.  Deletions only shrink neighbourhoods, so a kept key equal to one
+    read later is still current; the set starts anew each pass, and a
+    deleted vertex leaves no key.
+    """
+    while True:
+        kept = active
+        seen: set[int] = set()
+        rest = active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = adj[low.bit_length() - 1] & active
+            if not a:
+                continue
+            if a & (a - 1) == 0 or a in seen or a | low in seen:
+                active ^= low
+            else:
+                seen.add(a)
+                seen.add(a | low)
+        if active == kept:
+            return not seen
 
 
 def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
@@ -212,25 +260,47 @@ def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
     characterisation each vertex taken leaves an orderable remainder, so the
     greedy never blocks on a member.  Without the lookahead it strands 35 of
     the 814 homogeneously orderable graphs on <= 7 vertices.
+
+    A distance-hereditary g (`_is_distance_hereditary`) skips the lookahead:
+    that class is closed under induced subgraphs and lies inside the
+    homogeneously orderable graphs (Brandstaedt, Dragan and Nicolai, TCS 172,
+    1997), so every remainder passes it, and the ordering is the same.
     """
-    return _eliminate(g._adj, _h_extremal, _passes_characterisation)
+    adj = g._adj
+    dh = _is_distance_hereditary(adj, (1 << g.n) - 1)
+    return _eliminate(adj, _h_extremal_kept, None if dh else _passes_characterisation)
 
 
-def _is_simple_vertex(adj: tuple[int, ...], active: int, v: int) -> bool:
-    """Closed neighborhoods of N[v]'s members form an inclusion chain."""
+def _simple_vertex(adj: tuple[int, ...], active: int, v: int) -> tuple[bool, int]:
+    """Whether the closed neighbourhoods of N[v]'s members in g[active] form
+    an inclusion chain, and what `_eliminate` must watch to keep the answer.
+
+    A simple v watches nothing: deleting other vertices keeps a chain a
+    chain.  Two non-adjacent neighbours u and w of v have incomparable closed
+    neighbourhoods, so v stays non-simple while both remain and watches
+    {u, w}.  A simplicial v that is not simple watches N^2[v].
+    """
+    nbrs = adj[v] & active
     masks = []
-    rest = (adj[v] & active) | (1 << v)
+    square = 1 << v  # N^2[v]
+    rest = nbrs
     while rest:
         low = rest & -rest
-        masks.append((adj[low.bit_length() - 1] & active) | low)
+        mask = (adj[low.bit_length() - 1] & active) | low
+        far = nbrs & ~mask
+        if far:
+            return False, low | (far & -far)
+        masks.append(mask)
+        square |= mask
         rest ^= low
+    # N[v] is a clique, so N[v] lies inside every mask and closes no gap.
     masks.sort(key=int.bit_count)
     prev = 0
     for mask in masks:
         if prev & ~mask:
-            return False
+            return False, square
         prev = mask
-    return True
+    return True, 0
 
 
 def find_simple_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
@@ -239,7 +309,7 @@ def find_simple_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
     Strongly chordal graphs are closed under induced subgraphs and always
     contain a simple vertex, so removing any simple vertex never gets stuck.
     """
-    return _eliminate(g._adj, _is_simple_vertex)
+    return _eliminate(g._adj, _simple_vertex)
 
 
 def validate_simple_elimination_ordering(g: Graph, ordering: tuple[int, ...]) -> bool:
@@ -247,7 +317,7 @@ def validate_simple_elimination_ordering(g: Graph, ordering: tuple[int, ...]) ->
         return False
     active = (1 << g.n) - 1
     for v in ordering:
-        if not _is_simple_vertex(g._adj, active, v):
+        if not _simple_vertex(g._adj, active, v)[0]:
             return False
         active &= ~(1 << v)
     return True

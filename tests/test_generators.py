@@ -119,6 +119,42 @@ def test_rook_specs_state_their_vertex_count():
             generate(spec)
 
 
+def test_named_specs_state_their_vertex_count():
+    assert generate(GenSpec("named", 4, 0, {"name": "C4"})).n == 4
+    assert generate(GenSpec("named", 12, 0, {"name": "icosahedron"})).n == 12
+    for spec in (
+        GenSpec("named", 5, 0, {"name": "C6"}),
+        GenSpec("named", 6, 0, {"name": "K3,4"}),
+        GenSpec("named", 5, 0, {"name": "star5"}),
+    ):
+        with pytest.raises(GraphError, match="named spec"):
+            generate(spec)
+
+
+def test_random_draws_are_pinned():
+    # Replay of every GenSpec rests on these methods of random.Random, which
+    # generators.py, planar.py and cli.py call (getrandbits is the primitive
+    # under randrange, choice and sample).  CPython keeps only random()'s
+    # sequence across versions, so a change in any other fails here by name
+    # before it fails as a digest mismatch in some replay pin.
+    seed = 2**63 + 2024
+    rng = random.Random(seed)
+    assert [rng.randrange(10) for _ in range(6)] == [1, 9, 2, 5, 2, 9]
+    rng = random.Random(seed)
+    assert [rng.randrange(4, 41) for _ in range(6)] == [11, 40, 12, 27, 13, 40]
+    rng = random.Random(seed)
+    ops = [rng.choice(("pendant", "true-twin", "false-twin")) for _ in range(4)]
+    assert ops == ["pendant", "false-twin", "pendant", "false-twin"]
+    rng = random.Random(seed)
+    assert rng.sample(range(60), 6) == [7, 36, 8, 56, 47, 23]
+    rng = random.Random(seed)
+    assert [rng.random() for _ in range(3)] == [
+        0.9610874959893644, 0.575857565746951, 0.876784740015538,
+    ]
+    rng = random.Random(seed)
+    assert (rng.getrandbits(64), rng.getrandbits(7)) == (2230241031902319745, 73)
+
+
 def test_gen_named():
     assert gen_named("C4").m == 4
     ico = gen_named("icosahedron")
