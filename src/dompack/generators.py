@@ -195,6 +195,8 @@ def _complete(k: int) -> Graph:
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
+    if a < 0 or b < 0:
+        raise GraphError("complete bipartite sides need a, b >= 0")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 

@@ -27,6 +27,11 @@ def _vertex_count(n: int) -> int:
     return n
 
 
+def _check_capacity(capacity: int) -> None:
+    if not 0 < capacity <= MAX_VERTICES:
+        raise GraphError(f"capacity must be in 1..{MAX_VERTICES}, got {capacity}")
+
+
 def _mask_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -77,8 +82,7 @@ class VertexSet:
     mask: int
 
     def __init__(self, capacity: int, members: Iterable[int] = ()):
-        if not 0 < capacity <= MAX_VERTICES:
-            raise GraphError(f"capacity must be in 1..{MAX_VERTICES}, got {capacity}")
+        _check_capacity(capacity)
         mask = 0
         for v in members:
             if not 0 <= v < capacity:
@@ -89,6 +93,7 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, capacity: int, mask: int) -> VertexSet:
+        _check_capacity(capacity)
         if mask < 0 or mask >> capacity:
             raise VertexRangeError("mask has bits outside 0..capacity-1")
         obj = object.__new__(cls)

@@ -119,8 +119,10 @@ def _least_module(adj: tuple[int, ...], active: int, s: int, bound: int) -> int:
     return module
 
 
-def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
-    """The witness of `find_h_extremal_witness` in g[active] as a mask, or 0."""
+def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> tuple[int, int]:
+    """The witness of `find_h_extremal_witness` in g[active] as a mask, or 0,
+    and N^2[v] in g[active]: the answer reads nothing outside it, so
+    `_eliminate` keeps it until a vertex of N^2[v] is removed."""
     closed_v = (adj[v] & active) | (1 << v)
     second = _square_mask(adj, active, v)
     left = closed_v
@@ -140,8 +142,8 @@ def _h_extremal(adj: tuple[int, ...], active: int, v: int) -> int:
             covered |= adj[low.bit_length() - 1]
             rest ^= low
         if second & ~covered == 0:
-            return module
-    return 0
+            return module, second
+    return 0, second
 
 
 def find_h_extremal_witness(g: Graph, v: int) -> VertexSet | None:
@@ -154,7 +156,7 @@ def find_h_extremal_witness(g: Graph, v: int) -> VertexSet | None:
     by lowest u is returned: polynomial time, with no degree cap.
     """
     g._check_vertex(v)
-    dmask = _h_extremal(g._adj, (1 << g.n) - 1, v)
+    dmask, _ = _h_extremal(g._adj, (1 << g.n) - 1, v)
     return VertexSet.from_mask(g.n, dmask) if dmask else None
 
 
@@ -212,63 +214,31 @@ def _eliminate(
     return tuple(perm)
 
 
-def _h_extremal_kept(adj: tuple[int, ...], active: int, v: int) -> tuple[int, int]:
-    """`_h_extremal` for `_eliminate`: its answer reads g[active] within
-    distance 2 of v only, so it watches N^2[v]."""
-    return _h_extremal(adj, active, v), _square_mask(adj, active, v)
-
-
-def _is_distance_hereditary(adj: tuple[int, ...], active: int) -> bool:
-    """Bandelt and Mulder (J. Combin. Theory B 41, 1986): g[active] is
-    distance-hereditary iff deleting pendant vertices and twins, in any
-    order, leaves only isolated vertices.
-
-    Each pass keys every vertex it keeps by its open and closed
-    neighbourhoods in the current g[active]: v is a false twin of a kept
-    vertex when their open ones are equal, and a true twin when their closed
-    ones are.  No open neighbourhood equals a closed one, so one set holds
-    both.  Deletions only shrink neighbourhoods, so a kept key equal to one
-    read later is still current; the set starts anew each pass, and a
-    deleted vertex leaves no key.
-    """
-    while True:
-        kept = active
-        seen: set[int] = set()
-        rest = active
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            a = adj[low.bit_length() - 1] & active
-            if not a:
-                continue
-            if a & (a - 1) == 0 or a in seen or a | low in seen:
-                active ^= low
-            else:
-                seen.add(a)
-                seen.add(a | low)
-        if active == kept:
-            return not seen
-
-
 def find_homogeneous_ordering(g: Graph) -> tuple[int, ...] | None:
     """A homogeneous ordering of g, or None when g has none; polynomial time.
 
-    Each step removes the lowest vertex v that is h-extremal in g[active] and
-    leaves g[active - v] passing the characterisation (`_square_cliques`);
-    None when no vertex does.  While g[active] is homogeneously orderable the
-    first vertex of any of its homogeneous orderings qualifies, and by the
-    characterisation each vertex taken leaves an orderable remainder, so the
-    greedy never blocks on a member.  Without the lookahead it strands 35 of
-    the 814 homogeneously orderable graphs on <= 7 vertices.
+    A homogeneous ordering removes, at each step, a vertex that is
+    h-extremal in g[active].  The first run takes the lowest such vertex with
+    no lookahead, and a run that completes is a homogeneous ordering.  Only a
+    run that strands checks membership, by the Brandstaedt-Dragan-Nicolai
+    characterisation (`_square_cliques`) of g: None for a non-member, and for
+    a member a second run that takes the lowest h-extremal v leaving
+    g[active - v] passing the characterisation.  While g[active] is
+    homogeneously orderable the first vertex of any of its homogeneous
+    orderings qualifies, and each vertex taken leaves an orderable
+    remainder, so the second run never blocks.  Without the lookahead a run
+    strands 35 of the 814 homogeneously orderable graphs on <= 7 vertices.
 
-    A distance-hereditary g (`_is_distance_hereditary`) skips the lookahead:
-    that class is closed under induced subgraphs and lies inside the
-    homogeneously orderable graphs (Brandstaedt, Dragan and Nicolai, TCS 172,
-    1997), so every remainder passes it, and the ordering is the same.
+    A completed first run is the ordering the second would give: its later
+    steps order each remainder it leaves, so each remainder is homogeneously
+    orderable and passes the characterisation (its necessity half), and the
+    lookahead would have taken the same lowest h-extremal vertex each step.
     """
     adj = g._adj
-    dh = _is_distance_hereditary(adj, (1 << g.n) - 1)
-    return _eliminate(adj, _h_extremal_kept, None if dh else _passes_characterisation)
+    ordering = _eliminate(adj, _h_extremal)
+    if ordering is None and _passes_characterisation(adj, (1 << g.n) - 1):
+        ordering = _eliminate(adj, _h_extremal, _passes_characterisation)
+    return ordering
 
 
 def _simple_vertex(adj: tuple[int, ...], active: int, v: int) -> tuple[bool, int]:

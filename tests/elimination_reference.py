@@ -49,6 +49,6 @@ def homogeneous_ordering(g):
     adj = g._adj
     return rescan_ordering(
         adj,
-        lambda active, v: _h_extremal(adj, active, v)
+        lambda active, v: _h_extremal(adj, active, v)[0]
         and _passes_characterisation(adj, active & ~(1 << v)),
     )

@@ -165,8 +165,16 @@ def test_gen_named():
     assert k33.m == 9
     assert gen_named("K_{3,3}").edges() == k33.edges()
     assert gen_named("star5").n == 6
+    k03 = gen_named("K0,3")
+    assert (k03.n, k03.m) == (3, 0)
     with pytest.raises(GraphError):
         gen_named("zorb")
+    # A negative side of K_{a,b} is no graph, not a smaller edgeless one.
+    for name in ("K3,-1", "K-1,4"):
+        with pytest.raises(GraphError):
+            gen_named(name)
+    with pytest.raises(GraphError):
+        generate(GenSpec("named", 2, 0, {"name": "K3,-1"}))
 
 
 def test_generate_dispatch_replay():

@@ -146,6 +146,14 @@ def test_vertex_set_is_a_frozen_value():
     assert copy.deepcopy(result) == pickle.loads(pickle.dumps(result)) == result
 
 
+@pytest.mark.parametrize("capacity", [0, -1, 513])
+def test_vertex_set_capacity_is_in_range(capacity):
+    # from_mask is the trusted constructor, but not for the capacity.
+    for make in (VertexSet, lambda c: VertexSet.from_mask(c, 0)):
+        with pytest.raises(GraphError, match=f"capacity must be in 1..512, got {capacity}"):
+            make(capacity)
+
+
 @pytest.mark.parametrize("capacity", [6, 2])  # n + 2 and n - 2 on P4
 def test_vertex_set_capacity_must_match_the_graph(capacity):
     # A set over another vertex range is a GraphError: not an IndexError, not

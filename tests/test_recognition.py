@@ -42,12 +42,7 @@ from dompack.generators import (
     gen_tree,
 )
 from dompack.planar import random_planar
-from dompack.graph import _layers
-from dompack.recognition import (
-    _is_distance_hereditary,
-    _passes_characterisation,
-    _square_cliques,
-)
+from dompack.recognition import _h_extremal, _passes_characterisation, _square_cliques
 
 
 def has_long_chordless_cycle(g):
@@ -291,61 +286,22 @@ def test_bipartition_rejects_odd_cycles():
     assert not is_chordal_bipartite(Graph(5, [(0, 1), (2, 3), (3, 4), (4, 2)]))
 
 
-def keeps_distances(adj):
-    """The definition of distance-hereditary: every connected induced
-    subgraph g[s] keeps the distances of g."""
-    n = len(adj)
-    rings = [list(_layers(adj, u)) for u in range(n)]
-    for s in range(1, 1 << n):
-        inside = [a & s for a in adj]
-        members = [u for u in range(n) if s >> u & 1]
-        if sum(_layers(inside, members[0])) != s:
-            continue  # g[s] is not connected
-        for u in members:
-            if any(a != b & s for a, b in zip(_layers(inside, u), rings[u])):
-                return False
-    return True
-
-
-def test_distance_hereditary_pruning_matches_the_definition():
-    # Deleting pendant vertices and twins leaves only isolated vertices
-    # exactly on the distance-hereditary graphs (Bandelt and Mulder), and
-    # every induced subgraph of one passes the characterisation: the premise
-    # on which find_homogeneous_ordering skips its lookahead.
-    accepted = 0
-    for n in range(1, 8):
-        for g in all_graphs(n):
-            pruned = _is_distance_hereditary(g._adj, (1 << n) - 1)
-            assert pruned == keeps_distances(g._adj), g
-            if pruned:
-                accepted += 1
-                assert all(_passes_characterisation(g._adj, s) for s in range(1 << n)), g
-    assert accepted == 617
-
-
-def test_distance_hereditary_draws_pass_the_pruning():
-    for n in range(1, 61):
-        g = gen_distance_hereditary(GenSpec("distance-hereditary", n, derive_seed(1304, n)))
-        assert _is_distance_hereditary(g._adj, (1 << n) - 1), n
-
-
-def test_pruning_reads_only_the_current_neighbourhoods():
-    # C5 on 0..4 with 5 a false twin of 0: without 0, g[active] is a C5 again,
-    # so 5 must not count as the twin of a vertex outside the active set.
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 1), (5, 4)])
-    assert not _is_distance_hereditary(g._adj, 0b111110)
-    assert _is_distance_hereditary(g._adj, 0b111010)  # the path 3-4-5-1
-    # C5 with a pendant vertex 5: a key kept from the pass that deletes 5
-    # would let vertex 1 match its own old neighbourhood.
-    g = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)])
-    assert not _is_distance_hereditary(g._adj, 0b111111)
-
-
 def test_eliminations_match_rescan_reference():
     # Kept local tests must not change a single choice: every graph on <= 6
-    # vertices, then random gnp, interval and distance-hereditary graphs up
-    # to n = 60, get the rescan loop's orderings (None included).
+    # vertices, the orderable graphs on 7 that h-extremality alone strands
+    # (so find_homogeneous_ordering retries with the lookahead), then random
+    # gnp, interval and distance-hereditary graphs up to n = 60, get the
+    # rescan loop's orderings (None included).
     graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    stranded = [
+        g for g in all_graphs(7)
+        if _passes_characterisation(g._adj, (1 << 7) - 1)
+        and elimination_reference.rescan_ordering(
+            g._adj, lambda active, v, adj=g._adj: _h_extremal(adj, active, v)[0]
+        ) is None
+    ]
+    assert len(stranded) == 33
+    graphs += stranded
     for i in range(8):
         n = 8 + i * 52 // 7
         seed = derive_seed(1300, i)
@@ -411,10 +367,11 @@ def test_kernel_outputs_are_pinned():
 def test_local_tests_are_kept(monkeypatch):
     # How often _eliminate runs each local test, and the homogeneous
     # lookahead, over kernel_pin_corpus: exact on any machine.  Re-testing
-    # every vertex within distance 2 of each removed one, or running the
-    # lookahead on distance-hereditary graphs, raises these totals.
+    # every vertex within distance 2 of each removed one, running the
+    # lookahead on a run that completes without it, or retrying a stranded
+    # non-member, raises these totals.
     corpus = kernel_pin_corpus()
-    calls = dict.fromkeys(("_simple_vertex", "_h_extremal_kept", "_passes_characterisation"), 0)
+    calls = dict.fromkeys(("_simple_vertex", "_h_extremal", "_passes_characterisation"), 0)
     for name in calls:
 
         def counted(*args, name=name, test=getattr(recognition, name)):
@@ -426,5 +383,5 @@ def test_local_tests_are_kept(monkeypatch):
         find_simple_elimination_ordering(g)
         find_homogeneous_ordering(g)
     assert calls == {
-        "_simple_vertex": 3259, "_h_extremal_kept": 3493, "_passes_characterisation": 426,
+        "_simple_vertex": 3259, "_h_extremal": 3644, "_passes_characterisation": 56,
     }
