@@ -4,8 +4,9 @@ Records are plain dicts built by `_record`, the one place a graph becomes a
 record; each subcommand adds only its own fields.  Every record, failed ones
 included, carries its graph's graph6, n and m ("", 0 and 0 if none was made),
 its wall_time and, from `verify`, its GenSpec (so it replays bit-exactly).  A
-record that holds gamma and rho solved each of them once (once more per X
-set).  `_Output` writes each record as soon as it is made, as a JSON line, an
+record that holds gamma and rho solved each of them at most once (once more
+per X set): `verify` searches only when no checked gamma = rho pair settles
+them.  `_Output` writes each record as soon as it is made, as a JSON line, an
 aligned table row or a CSV row, and ends with a summary, which returns the
 exit status: 1 when any record failed (a bound violation, a construct input
 outside its class, a failed generator, or a lemma falsification).  Bad input
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -29,6 +29,7 @@ from itertools import repeat
 
 from . import codec
 from .constructions import (
+    _pass_pair_value,
     chordal_bipartite_dompack,
     homogeneously_orderable_dompack,
     strongly_chordal_dompack,
@@ -293,9 +294,20 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int) -> GenSpec:
     return GenSpec("gnp", rng.randrange(2, max_n + 1), sub, {"edge_prob": 0.5})  # "any"
 
 
+def _gamma_rho(g: Graph, x: VertexSet | None = None) -> tuple[int, int]:
+    """(gamma_X, rho_X) of g: both from one checked pass pair when it
+    settles gamma_X = rho_X, else from the two searches, the packing search
+    stopped once it reaches gamma_X."""
+    settled = _pass_pair_value(g, x)
+    if settled is not None:
+        return settled, settled
+    gamma = exact_domination(g, x).value
+    return gamma, exact_packing(g, x, at_most=gamma).value
+
+
 def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -> dict:
     t0 = time.perf_counter()
-    fields = {"genspec": dataclasses.asdict(spec), "bound": bound}
+    fields = {"genspec": {**vars(spec), "params": dict(spec.params)}, "bound": bound}
     try:
         if spec.family == "chordal-bipartite":
             g, fields["gen_attempts"] = gen_chordal_bipartite_with_stats(spec)
@@ -305,16 +317,14 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -
         if isinstance(exc, GenerationBudgetError):
             fields["gen_attempts"] = exc.attempts
         return _record(None, t0, passed=False, error=str(exc), **fields)
-    gamma = exact_domination(g).value
-    rho = exact_packing(g).value
+    gamma, rho = _gamma_rho(g)
     passed = gamma <= bound * rho
     if x_samples:
         rng = random.Random(derive_seed(spec.seed, 991))
         x_checks = []
         for _ in range(x_samples):
             x = VertexSet(g.n, [v for v in range(g.n) if rng.random() < x_prob])
-            gx = exact_domination(g, x).value
-            rx = exact_packing(g, x).value
+            gx, rx = _gamma_rho(g, x)
             passed = passed and gx <= bound * rx
             x_checks.append({"x": sorted(x), "gamma_x": gx, "rho_x": rx})
         fields["x_checks"] = x_checks

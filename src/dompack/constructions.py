@@ -10,16 +10,26 @@ Brandstaedt-Dragan-Nicolai characterisation of the class.
 Every algorithm hands its D and P to `_finalize`, the one place that builds a
 DomPackCertificate; it revalidates them against the graph predicates, and an
 invalid certificate raises instead of being returned.
+`_pass_pair_value` runs the same pass on any graph, along BFS layers deepest
+first, and returns gamma_X = rho_X when the pair it makes checks out.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, GraphError
-from .graph import Graph, VertexSet, _layers, _mask_bits, is_dominating, is_packing
+from .graph import (
+    Graph,
+    VertexSet,
+    _layers,
+    _mask_bits,
+    _set_mask,
+    is_dominating,
+    is_packing,
+)
 from .recognition import (
     _square_cliques,
     bipartition,
@@ -69,18 +79,23 @@ def _finalize(
     return DomPackCertificate(d, p, class_tag, Fraction(bound), valid=True)
 
 
-def _gamma_rho_pass(g: Graph, ordering: Iterable[int]) -> tuple[int, int]:
+def _gamma_rho_pass(
+    g: Graph, ordering: Iterable[int], dominated: int = 0
+) -> tuple[int, int]:
     """Farber's single pass along a simple elimination ordering: (D, P) masks.
 
     When v is still undominated, v joins P and its dominator joins D: the
     member of N[v] whose closed neighborhood in the suffix graph is the
     inclusion maximum of the simple-vertex chain at v, the lowest index on
     ties.  The packing property of P is exactly where the ordering is
-    exercised, so `_finalize` always revalidates the result.
+    exercised, so `_finalize` always revalidates the result.  `dominated`
+    is the mask of the vertices taken as dominated from the start (an X);
+    none of them joins P.  No dominator is picked twice, since a picked one
+    dominates v, so |D| = |P|.
     """
     adj, closed = g._adj, g.closed_masks
     active = (1 << g.n) - 1
-    dominated = d_mask = p_mask = 0
+    d_mask = p_mask = 0
     for v in ordering:
         if not (dominated >> v) & 1:
             best_u = -1
@@ -97,6 +112,38 @@ def _gamma_rho_pass(g: Graph, ordering: Iterable[int]) -> tuple[int, int]:
     return d_mask, p_mask
 
 
+def _deepest_first(adj: Sequence[int], root: int) -> list[int]:
+    """Every vertex, one component at a time, each in BFS layers from its
+    root taken deepest layer first: root's component, then that of the
+    lowest vertex left, and so on."""
+    order = []
+    left = (1 << len(adj)) - 1
+    while left:
+        for layer in reversed(list(_layers(adj, root))):
+            order += _mask_bits(layer)
+            left &= ~layer
+        root = (left & -left).bit_length() - 1
+    return order
+
+
+def _pass_pair_value(g: Graph, x: VertexSet | None = None) -> int | None:
+    """gamma_X(g) = rho_X(g) when one gamma = rho pass proves it, else None.
+
+    The pass runs with X dominated from the start along `_deepest_first`
+    from vertex 0: the tree construction's order, which is a simple
+    elimination ordering on forests but not in general.  D always dominates
+    with X and |D| = |P|, but P need not be a packing.  Both are revalidated,
+    P first, as only P can fail.  When they hold,
+    |P| <= rho_X <= gamma_X <= |D| = |P|.
+    """
+    d_mask, p_mask = _gamma_rho_pass(g, _deepest_first(g._adj, 0), _set_mask(g, x))
+    d = VertexSet.from_mask(g.n, d_mask)
+    p = VertexSet.from_mask(g.n, p_mask)
+    if is_packing(g, p, x) and is_dominating(g, d, x):
+        return len(p)
+    return None
+
+
 def tree_dompack(t: Graph, root: int) -> DomPackCertificate:
     """Equal-size dominating set and packing on a tree (gamma = rho).
 
@@ -109,8 +156,7 @@ def tree_dompack(t: Graph, root: int) -> DomPackCertificate:
     if not is_tree(t):
         raise GraphError("input is not a tree")
     t._check_vertex(root)
-    layers = reversed(list(_layers(t._adj, root)))
-    d_mask, p_mask = _gamma_rho_pass(t, (v for layer in layers for v in _mask_bits(layer)))
+    d_mask, p_mask = _gamma_rho_pass(t, _deepest_first(t._adj, root))
     return _finalize(t, d_mask, p_mask, "tree", 1)
 
 

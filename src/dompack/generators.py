@@ -241,6 +241,8 @@ def gen_named(name: str) -> Graph:
             return _complete_bipartite(int(a), int(b))
         if s.startswith("k"):
             return _complete(int(s[1:]))
+    except GraphError:
+        raise  # the name parsed, but the helper refuses its size
     except ValueError:
         pass
     raise GraphError(f"unknown named graph {name!r}")

@@ -109,7 +109,9 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
     return SolveResult(best_size, VertexSet(n, best_set), nodes, True)
 
 
-def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
+def exact_packing(
+    g: Graph, x: VertexSet | None = None, at_most: int | None = None
+) -> SolveResult:
     """Maximum P disjoint from X with pairwise disjoint closed neighborhoods.
 
     A packing is an independent set of G^2 (two members conflict when their
@@ -122,11 +124,18 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
     search tries each u in C in ascending order and drops u from the later
     branches, whose packings without u are all that is left.  A cover of the
     eligible set by closed neighbourhoods bounds what a branch can add.
+
+    `at_most`, when given, must bound rho_X from above (gamma_X does, by
+    weak duality): the search stops once a packing of that size is found.
+    The search only ever replaces its best packing by a larger one, so the
+    value and the witness are those of the full search; only the node count
+    can shrink.
     """
     n = g.n
     closed = g.closed_masks
     second = g.second_masks
     eligible0 = ((1 << n) - 1) & ~_set_mask(g, x)
+    limit = n + 1 if at_most is None else at_most
 
     incumbent = tuple(_mask_bits(_first_fit(second, eligible0)))
     best_size = len(incumbent)
@@ -163,7 +172,7 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
         if size > best_size:
             best_size = size
             best_set = tuple(chosen)
-        if not eligible:
+        if not eligible or best_size >= limit:
             return
         fewest = n + 1
         rest = eligible
@@ -193,9 +202,12 @@ def exact_packing(g: Graph, x: VertexSet | None = None) -> SolveResult:
             chosen.append(u)
             dfs(eligible & ~second[u], size + 1)
             chosen.pop()
+            if best_size >= limit:
+                return
             eligible &= ~(1 << u)
 
-    dfs(eligible0, 0)
+    if best_size < limit:
+        dfs(eligible0, 0)
     return SolveResult(best_size, VertexSet(n, best_set), nodes, True)
 
 

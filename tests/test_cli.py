@@ -237,6 +237,45 @@ def test_verify_jobs_match_sequential(capsys):
             assert all(field in rec for rec in strip(out2)[0]), cls
 
 
+def test_verify_searches_only_what_the_pass_leaves_open(capsys, monkeypatch):
+    # Searches per class in one benchmark `verify` round at seed 1 (its tree
+    # campaign runs at seed 0), out of 150 trees, 100 instances of each other
+    # class and 300 planar solves (2 X sets each): a checked pass pair
+    # settles every other (gamma, rho), and each search that does run is
+    # one domination search and one packing search.
+    import dompack.cli
+
+    calls = []
+    for name in ("exact_domination", "exact_packing"):
+        solve = getattr(dompack.cli, name)
+        monkeypatch.setattr(
+            dompack.cli, name,
+            lambda *a, name=name, solve=solve, **k: calls.append(name) or solve(*a, **k),
+        )
+    searched = {}
+    for cls, count, seed, extra in (
+        ("tree", 150, 0, ()),
+        ("strongly-chordal", 100, 1, ()),
+        ("chordal-bipartite", 100, 1, ()),
+        ("homogeneously-orderable", 100, 1, ()),
+        ("planar", 100, 1, ("--x-samples", "2")),
+    ):
+        calls.clear()
+        code, _ = run_cli(
+            capsys, "verify", "--class", cls, "--count", str(count), "--seed", str(seed), *extra
+        )
+        assert code == 0
+        searched[cls] = calls.count("exact_domination")
+        assert calls.count("exact_packing") == searched[cls]
+    assert searched == {
+        "tree": 0,
+        "strongly-chordal": 20,
+        "chordal-bipartite": 22,
+        "homogeneously-orderable": 15,
+        "planar": 139,
+    }
+
+
 def test_verify_instance_errors_fail_only_their_records(capsys, monkeypatch):
     # A generator that runs out of attempts fails its own record; the
     # campaign goes on and exits 1, and the record replays to the same error.
@@ -475,13 +514,16 @@ def test_out_file(capsys, tmp_path):
 
 
 def test_bad_out_path_fails_before_any_solve(capsys, monkeypatch, tmp_path):
+    # Trees are settled by the pass pair and reach no search, so the pass is
+    # watched as well as the searches.
     import dompack.cli
 
     calls = []
-    solve = dompack.cli.exact_domination
-    monkeypatch.setattr(
-        dompack.cli, "exact_domination", lambda *a, **k: calls.append(a) or solve(*a, **k)
-    )
+    for name in ("_pass_pair_value", "exact_domination", "exact_packing"):
+        solve = getattr(dompack.cli, name)
+        monkeypatch.setattr(
+            dompack.cli, name, lambda *a, solve=solve, **k: calls.append(a) or solve(*a, **k)
+        )
     monkeypatch.chdir(tmp_path)
     code = main(["verify", "--class", "tree", "--count", "5", "--out", "missing-dir/x.json"])
     assert code == 2

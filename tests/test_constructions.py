@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from homogeneous_reference import homogeneous_ordering
@@ -8,6 +9,7 @@ from dompack import (
     ConstructionError,
     Graph,
     GraphError,
+    VertexSet,
     chordal_bipartite_dompack,
     emit_graph6,
     exact_domination,
@@ -20,7 +22,7 @@ from dompack import (
     strongly_chordal_dompack,
     tree_dompack,
 )
-from dompack.constructions import _finalize
+from dompack.constructions import _finalize, _pass_pair_value
 from dompack.generators import (
     GenSpec,
     all_graphs,
@@ -241,6 +243,25 @@ def test_exhaustive_small_trees():
             cert = tree_dompack(t, 0)
             check_certificate(t, cert)
             assert len(cert.d) == len(cert.p) == exact_domination(t).value
+
+
+def test_pass_pair_value_is_exact_where_it_settles():
+    # Every graph on <= 7 vertices, with no X and with one seeded X.  Off
+    # forests the pass's P is often no packing, and a value returned then
+    # would be wrong; where the pair checks out, gamma_X = rho_X = its size.
+    runs = settled = 0
+    for n in range(1, 8):
+        for i, g in enumerate(all_graphs(n)):
+            rng = random.Random(derive_seed(2600 + n, i))
+            for x in (None, VertexSet(n, [v for v in range(n) if rng.random() < 0.25])):
+                gamma = exact_domination(g, x).value
+                rho = exact_packing(g, x).value
+                value = _pass_pair_value(g, x)
+                runs += 1
+                if value is not None:
+                    settled += 1
+                    assert value == gamma == rho, (emit_graph6(g), x)
+    assert (runs, settled) == (2504, 1585)
 
 
 def construction_pin_rows():

@@ -167,11 +167,18 @@ def test_gen_named():
     assert gen_named("star5").n == 6
     k03 = gen_named("K0,3")
     assert (k03.n, k03.m) == (3, 0)
-    with pytest.raises(GraphError):
-        gen_named("zorb")
-    # A negative side of K_{a,b} is no graph, not a smaller edgeless one.
-    for name in ("K3,-1", "K-1,4"):
-        with pytest.raises(GraphError):
+    for name in ("zorb", "Cx", "K3,4,5"):
+        with pytest.raises(GraphError, match="unknown named graph"):
+            gen_named(name)
+    # A negative side of K_{a,b} is no graph, not a smaller edgeless one.  A
+    # name that parses but whose size is refused says why, not "unknown".
+    for name, reason in (
+        ("K3,-1", "sides need a, b >= 0"),
+        ("K-1,4", "sides need a, b >= 0"),
+        ("C2", "cycles need n >= 3"),
+        ("P0", "vertex count must be in 1..512, got 0"),
+    ):
+        with pytest.raises(GraphError, match=reason):
             gen_named(name)
     with pytest.raises(GraphError):
         generate(GenSpec("named", 2, 0, {"name": "K3,-1"}))

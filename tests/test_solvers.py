@@ -1,6 +1,7 @@
 import random
 
 from solver_reference import brute_force_domination, brute_force_packing
+from test_recognition import kernel_pin_corpus
 
 from dompack import (
     VertexSet,
@@ -14,7 +15,7 @@ from dompack import (
     parse_graph6,
     tree_dompack,
 )
-from dompack.generators import GenSpec, all_graphs, derive_seed, gen_gnp, gen_tree
+from dompack.generators import GenSpec, all_graphs, derive_seed, gen_gnp, gen_tree, generate
 from dompack.planar import random_planar
 
 
@@ -183,26 +184,36 @@ def test_tree_oracle_to_n200():
 def test_verify_tree_node_counts(capsys, monkeypatch):
     # The trees of `verify --class tree --seed 0`.  Node counts do not depend
     # on the machine, so growth here is a search regression, not noise.
+    # `verify` settles every one of these trees from its pass pair, so the
+    # searches run here directly, and the campaign must start neither.
     import dompack.cli
 
-    nodes = {"exact_domination": [], "exact_packing": []}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            nodes[name].append(result.nodes_explored)
-            return result
-
-        return wrapper
-
-    for name in nodes:
-        monkeypatch.setattr(dompack.cli, name, counted(name, getattr(dompack.cli, name)))
+    trees = [generate(dompack.cli._instance_spec("tree", i, 0, 50)) for i in range(150)]
+    for solve in (exact_domination, exact_packing):
+        counts = [solve(t).nodes_explored for t in trees]
+        assert sum(counts) <= 10_000 and max(counts) <= 100, (solve, sum(counts), max(counts))
+    calls = []
+    for name in ("exact_domination", "exact_packing"):
+        monkeypatch.setattr(dompack.cli, name, lambda *a, **k: calls.append(a))
     argv = ["verify", "--class", "tree", "--count", "150", "--seed", "0", "--format", "json"]
     assert dompack.cli.main(argv) == 0
     capsys.readouterr()
-    for name, counts in nodes.items():
-        assert len(counts) == 150
-        assert sum(counts) <= 10_000 and max(counts) <= 100, (name, sum(counts), max(counts))
+    assert calls == []
+
+
+def test_packing_stopped_at_gamma_keeps_its_answer():
+    # rho_X <= gamma_X, so a search stopped on reaching gamma_X returns the
+    # full search's value and witness; it may only explore fewer nodes.
+    stopped_early = 0
+    for i, g in enumerate(kernel_pin_corpus()):
+        rng = random.Random(derive_seed(2401, i))
+        for x in (None, VertexSet(g.n, rng.sample(range(g.n), g.n // 4))):
+            full = exact_packing(g, x)
+            bounded = exact_packing(g, x, at_most=exact_domination(g, x).value)
+            assert (bounded.value, bounded.witness) == (full.value, full.witness)
+            assert bounded.nodes_explored <= full.nodes_explored
+            stopped_early += bounded.nodes_explored < full.nodes_explored
+    assert stopped_early > 0
 
 
 def test_readme_quickstart_witness():
