@@ -5,12 +5,14 @@ record; each subcommand adds only its own fields.  Every record, failed ones
 included, carries its graph's graph6, n and m ("", 0 and 0 if none was made),
 its wall_time and, from `verify`, its GenSpec (so it replays bit-exactly).  A
 record that holds gamma and rho solved each of them at most once (once more
-per X set): `verify` searches only when no checked gamma = rho pair settles
-them.  `_Output` writes each record as soon as it is made, as a JSON line, an
-aligned table row or a CSV row, and ends with a summary, which returns the
-exit status: 1 when any record failed (a bound violation, a construct input
-outside its class, a failed generator, or a lemma falsification).  Bad input
-exits 2.  A reader that closes the pipe ends the run quietly with 141.
+per X set).  `compute` searches for its own gamma and rho, whose witnesses it
+prints; every other value comes from `_gamma_rho`, which searches only when
+no checked gamma = rho pair settles it.  `_Output` writes each record as soon
+as it is made, as a JSON line, an aligned table row or a CSV row, and ends
+with a summary, which returns the exit status: 1 when any record failed (a
+bound violation, a construct input outside its class, a failed generator, or
+a lemma falsification).  Bad input exits 2.  A reader that closes the pipe
+ends the run quietly with 141.
 """
 
 from __future__ import annotations
@@ -232,6 +234,17 @@ def _max_n(n: int | None, default: int, least: int, most: int = MAX_VERTICES) ->
 # -- compute -------------------------------------------------------------------
 
 
+def _gamma_rho(g: Graph, x: VertexSet | None = None) -> tuple[int, int]:
+    """(gamma_X, rho_X) of g: both from one checked pass pair when it
+    settles gamma_X = rho_X, else from the two searches, the packing search
+    stopped once it reaches gamma_X."""
+    settled = _pass_pair_value(g, x)
+    if settled is not None:
+        return settled, settled
+    gamma = exact_domination(g, x).value
+    return gamma, exact_packing(g, x, at_most=gamma).value
+
+
 def cmd_compute(args) -> int:
     out = _Output(args)
     for g in _read_graphs(args.input):
@@ -244,11 +257,8 @@ def cmd_compute(args) -> int:
             fields.update(gamma_f=report.gamma_f, passed=report.holds)
         if args.x_set:
             x = _parse_x_set(args.x_set, g)
-            fields.update(
-                gamma_x=exact_domination(g, x).value,
-                rho_x=exact_packing(g, x).value,
-                x_set=sorted(x),
-            )
+            gx, rx = _gamma_rho(g, x)
+            fields.update(gamma_x=gx, rho_x=rx, x_set=sorted(x))
         out.record(_record(
             g, t0,
             gamma=gamma.value,
@@ -292,17 +302,6 @@ def _instance_spec(cls: str, index: int, seed: int, max_n: int) -> GenSpec:
         k = 2 + index % max(1, int(math.isqrt(max_n)) - 1)
         return GenSpec("rook", k * k, sub, {"k": k, "l": k})
     return GenSpec("gnp", rng.randrange(2, max_n + 1), sub, {"edge_prob": 0.5})  # "any"
-
-
-def _gamma_rho(g: Graph, x: VertexSet | None = None) -> tuple[int, int]:
-    """(gamma_X, rho_X) of g: both from one checked pass pair when it
-    settles gamma_X = rho_X, else from the two searches, the packing search
-    stopped once it reaches gamma_X."""
-    settled = _pass_pair_value(g, x)
-    if settled is not None:
-        return settled, settled
-    gamma = exact_domination(g, x).value
-    return gamma, exact_packing(g, x, at_most=gamma).value
 
 
 def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -> dict:
@@ -408,13 +407,12 @@ def cmd_construct(args) -> int:
             out.record(_record(g, t0, passed=False, error=str(exc)))
             continue
         # A returned certificate is valid, and |P| <= rho <= gamma <= |D|.
-        settled = len(cert.d) == len(cert.p)
+        if len(cert.d) == len(cert.p):
+            gamma = rho = len(cert.d)
+        else:
+            gamma, rho = _gamma_rho(g)
         out.record(_record(
-            g, t0,
-            certificate=cert.to_dict(),
-            gamma=len(cert.d) if settled else exact_domination(g).value,
-            rho=len(cert.p) if settled else exact_packing(g).value,
-            bound=cert.bound_constant,
+            g, t0, certificate=cert.to_dict(), gamma=gamma, rho=rho, bound=cert.bound_constant
         ))
     return out.summary({"class": cls, "instances": out.records, "failures": out.failures})
 

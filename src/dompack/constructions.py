@@ -8,7 +8,7 @@ Homogeneously orderable graphs get a maximum packing and a dominating set at
 most twice its size from a clique cover of G^2, following the
 Brandstaedt-Dragan-Nicolai characterisation of the class.
 Every algorithm hands its D and P to `_finalize`, the one place that builds a
-DomPackCertificate; it revalidates them against the graph predicates, and an
+DomPackCertificate; it revalidates them with `graph._pair_fault`, and an
 invalid certificate raises instead of being returned.
 `_pass_pair_value` runs the same pass on any graph, along BFS layers deepest
 first, and returns gamma_X = rho_X when the pair it makes checks out.
@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, GraphError
-from .graph import (
-    Graph,
-    VertexSet,
-    _layers,
-    _mask_bits,
-    _set_mask,
-    is_dominating,
-    is_packing,
-)
+from .graph import Graph, VertexSet, _components, _mask_bits, _pair_fault, _set_mask
 from .recognition import (
     _square_cliques,
     bipartition,
@@ -70,10 +62,9 @@ def _finalize(
     """
     d = VertexSet.from_mask(g.n, d_mask)
     p = VertexSet.from_mask(g.n, p_mask)
-    if not is_dominating(g, d):
-        raise ConstructionError(f"{class_tag}: D is not dominating")
-    if not is_packing(g, p):
-        raise ConstructionError(f"{class_tag}: P is not a packing")
+    fault = _pair_fault(g, d, p)
+    if fault:
+        raise ConstructionError(f"{class_tag}: {fault}")
     if len(d) > bound * len(p):
         raise ConstructionError(f"{class_tag}: |D|={len(d)} exceeds {bound} * |P|={len(p)}")
     return DomPackCertificate(d, p, class_tag, Fraction(bound), valid=True)
@@ -117,12 +108,9 @@ def _deepest_first(adj: Sequence[int], root: int) -> list[int]:
     root taken deepest layer first: root's component, then that of the
     lowest vertex left, and so on."""
     order = []
-    left = (1 << len(adj)) - 1
-    while left:
-        for layer in reversed(list(_layers(adj, root))):
+    for layers in _components(adj, root):
+        for layer in reversed(layers):
             order += _mask_bits(layer)
-            left &= ~layer
-        root = (left & -left).bit_length() - 1
     return order
 
 
@@ -132,16 +120,12 @@ def _pass_pair_value(g: Graph, x: VertexSet | None = None) -> int | None:
     The pass runs with X dominated from the start along `_deepest_first`
     from vertex 0: the tree construction's order, which is a simple
     elimination ordering on forests but not in general.  D always dominates
-    with X and |D| = |P|, but P need not be a packing.  Both are revalidated,
-    P first, as only P can fail.  When they hold,
-    |P| <= rho_X <= gamma_X <= |D| = |P|.
+    with X and |D| = |P|, but P need not be a packing.  `_pair_fault`
+    revalidates both; when they hold, |P| <= rho_X <= gamma_X <= |D| = |P|.
     """
     d_mask, p_mask = _gamma_rho_pass(g, _deepest_first(g._adj, 0), _set_mask(g, x))
-    d = VertexSet.from_mask(g.n, d_mask)
-    p = VertexSet.from_mask(g.n, p_mask)
-    if is_packing(g, p, x) and is_dominating(g, d, x):
-        return len(p)
-    return None
+    d, p = VertexSet.from_mask(g.n, d_mask), VertexSet.from_mask(g.n, p_mask)
+    return None if _pair_fault(g, d, p, x) else len(p)
 
 
 def tree_dompack(t: Graph, root: int) -> DomPackCertificate:

@@ -8,7 +8,9 @@ and the private `Graph._from_adjacency` takes trusted masks; both end in
 `Graph._fill`, which checks 1 <= n <= MAX_VERTICES and sets every attribute.
 A `VertexSet` passed together with a graph (to the predicates here, to
 `induced_subgraph` and to the solvers) must have capacity g.n; any other
-capacity raises `GraphError`.
+capacity raises `GraphError`.  Two private kernels serve the other modules:
+`_components` is the one walk over a graph's components, and `_pair_fault`
+the one check of a domination-packing pair (D, P).
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ def _layers(adj: Sequence[int], root: int) -> Iterator[int]:
             nxt |= adj[v]
         layer = nxt & ~seen
         seen |= layer
+
+
+def _components(adj: Sequence[int], root: int = 0) -> Iterator[list[int]]:
+    """Each component's BFS layers (see `_layers`): root's component first,
+    then that of the lowest vertex left, and so on."""
+    left = (1 << len(adj)) - 1
+    while left:
+        layers = list(_layers(adj, root))
+        yield layers
+        left &= ~sum(layers)  # the layers are disjoint, so their sum is their union
+        root = (left & -left).bit_length() - 1
 
 
 def _first_fit(masks: tuple[int, ...], allowed: int) -> int:
@@ -264,3 +277,15 @@ def is_packing(g: Graph, p: VertexSet, x: VertexSet | None = None) -> bool:
             return False
         seen |= nb
     return True
+
+
+def _pair_fault(g: Graph, d: VertexSet, p: VertexSet, x: VertexSet | None = None) -> str | None:
+    """None when D dominates V(g) with X and P is a packing avoiding X, so
+    that |P| <= rho_X <= gamma_X <= |D|; else which half fails, D first.
+    Both predicates always run, so a set of another capacity raises
+    `GraphError` even when the other half already fails."""
+    dominates = is_dominating(g, d, x)
+    packs = is_packing(g, p, x)
+    if not dominates:
+        return "D is not dominating"
+    return None if packs else "P is not a packing"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DompackError
-from .graph import Graph, is_dominating, is_packing
+from .graph import Graph, _pair_fault
 from .solvers import SolveResult, exact_domination, exact_packing
 
 
@@ -169,7 +169,8 @@ def verify_sandwich(
     dominating set D and a packing P with |D| = |P| = k prove
     k <= rho <= rho_f = gamma_f <= gamma <= k, so when both witnesses check
     and meet, gamma_f = k and the simplex does not run.  Otherwise, invalid
-    witnesses included, gamma_f comes from `fractional_domination`.  A
+    witnesses included, gamma_f comes from `fractional_domination`.
+    `graph._pair_fault` checks the witnesses, both of them always, so a
     witness whose capacity is not g.n raises `GraphError`.
     """
     if gamma is None:
@@ -177,10 +178,8 @@ def verify_sandwich(
     if rho is None:
         rho = exact_packing(g)
     k = gamma.value
-    # Both checks always run, so a witness from another graph raises GraphError.
-    dominates = is_dominating(g, gamma.witness)
-    packs = is_packing(g, rho.witness)
-    if dominates and packs and rho.value == k == len(gamma.witness) == len(rho.witness):
+    fault = _pair_fault(g, gamma.witness, rho.witness)
+    if fault is None and rho.value == k == len(gamma.witness) == len(rho.witness):
         gamma_f = Fraction(k)
     else:
         # fractional_domination checked sum(y) == sum(x) == value.

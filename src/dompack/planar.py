@@ -24,7 +24,7 @@ from .errors import (
     GraphError,
     PreconditionError,
 )
-from .graph import Graph, VertexSet, _layers, _mask_bits, _set_mask
+from .graph import Graph, VertexSet, _components, _mask_bits, _set_mask
 
 
 class TriangulationBlocked(DompackError, RuntimeError):
@@ -59,15 +59,6 @@ def _trace_faces(succ: list[int]) -> tuple[tuple[int, ...], ...]:
             d = succ[d ^ 1]
         faces.append(tuple(walk))
     return tuple(faces)
-
-
-def _component_count(adj: list[int]) -> int:
-    count = 0
-    left = (1 << len(adj)) - 1
-    while left:
-        left &= ~sum(_layers(adj, (left & -left).bit_length() - 1))
-        count += 1
-    return count
 
 
 class PlanarEmbedding:
@@ -122,7 +113,8 @@ class PlanarEmbedding:
 
         self.faces = _trace_faces(succ)
         iso = sum(1 for darts in self.rotation if not darts)
-        if n - darts_total // 2 + len(self.faces) + iso != 2 * _component_count(adj):
+        components = sum(1 for _ in _components(adj))
+        if n - darts_total // 2 + len(self.faces) + iso != 2 * components:
             raise EmbeddingError("rotation system is not planar (Euler check failed)")
 
     # -- views ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import GraphError
-from .graph import Graph, VertexSet, _layers, _mask_bits, _set_mask, _square_mask
+from .graph import Graph, VertexSet, _components, _layers, _mask_bits, _set_mask, _square_mask
 
 
 def is_tree(g: Graph) -> bool:
@@ -299,14 +299,12 @@ def bipartition(g: Graph) -> tuple[VertexSet, VertexSet]:
     layer parity is a proper coloring."""
     adj = g._adj
     even = 0
-    left = (1 << g.n) - 1
-    while left:
-        for depth, layer in enumerate(_layers(adj, (left & -left).bit_length() - 1)):
+    for layers in _components(adj):
+        for depth, layer in enumerate(layers):
             if any(adj[v] & layer for v in _mask_bits(layer)):
                 raise GraphError("graph is not bipartite (odd cycle found)")
             if depth % 2 == 0:
                 even |= layer
-            left &= ~layer
     side_a = VertexSet.from_mask(g.n, even)
     return side_a, side_a.complement()
 

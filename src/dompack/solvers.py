@@ -1,9 +1,10 @@
 """Exact domination and packing solvers, with X-relativized variants.
 
 `exact_domination` / `exact_packing` are branch-and-bound searches over
-bitmask state, and `greedy_domination` is the max-coverage greedy, whose size
-is at most H(max degree + 1) times gamma.  Ties break toward the lowest vertex
-index everywhere so witnesses are reproducible.
+bitmask state, their chosen and best sets included, and `greedy_domination`
+is the max-coverage greedy, whose size is at most H(max degree + 1) times
+gamma.  Ties break toward the lowest vertex index everywhere so witnesses
+are reproducible.
 
 Both searches branch on the most constrained vertex.  Domination is a set
 cover of the uncovered vertices by closed neighbourhoods: it branches on the
@@ -30,21 +31,17 @@ class SolveResult:
     optimal: bool
 
 
-def _greedy_cover(n: int, closed: tuple[int, ...], covered: int) -> tuple[int, ...]:
-    """Greedy max-coverage dominating completion starting from `covered`."""
+def _greedy_cover(n: int, closed: tuple[int, ...], covered: int) -> int:
+    """Greedy max-coverage dominating completion starting from `covered`,
+    as the mask of the vertices it takes; `max` keeps the first maximum, so
+    ties go to the lowest index."""
     full = (1 << n) - 1
-    chosen = []
+    chosen = 0
     while covered != full:
-        best_v = -1
-        best_gain = 0
-        for v in range(n):
-            gain = (closed[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        chosen.append(best_v)
-        covered |= closed[best_v]
-    return tuple(chosen)
+        v = max(range(n), key=lambda u: (closed[u] & ~covered).bit_count())
+        chosen |= 1 << v
+        covered |= closed[v]
+    return chosen
 
 
 def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
@@ -66,19 +63,17 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
     start = _set_mask(g, x)
     by_degree = sorted(range(n), key=lambda v: (closed[v].bit_count(), v))
 
-    incumbent = _greedy_cover(n, closed, start)
-    best_size = len(incumbent)
-    best_set = incumbent
+    best_set = _greedy_cover(n, closed, start)
+    best_size = best_set.bit_count()
     nodes = 0
-    chosen: list[int] = []
 
-    def dfs(covered: int, size: int) -> None:
+    def dfs(covered: int, size: int, chosen: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if covered == full:
             if size < best_size:
                 best_size = size
-                best_set = tuple(chosen)
+                best_set = chosen
             return
         uncovered = full & ~covered
         # Uncovered vertices with pairwise disjoint closed neighborhoods each
@@ -101,12 +96,10 @@ def exact_domination(g: Graph, x: VertexSet | None = None) -> SolveResult:
                 if gain & ~other == 0 and (gain != other or w < u):
                     break
             else:
-                chosen.append(u)
-                dfs(covered | gain, size + 1)
-                chosen.pop()
+                dfs(covered | gain, size + 1, chosen | 1 << u)
 
-    dfs(start, 0)
-    return SolveResult(best_size, VertexSet(n, best_set), nodes, True)
+    dfs(start, 0, 0)
+    return SolveResult(best_size, VertexSet.from_mask(n, best_set), nodes, True)
 
 
 def exact_packing(
@@ -137,11 +130,9 @@ def exact_packing(
     eligible0 = ((1 << n) - 1) & ~_set_mask(g, x)
     limit = n + 1 if at_most is None else at_most
 
-    incumbent = tuple(_mask_bits(_first_fit(second, eligible0)))
-    best_size = len(incumbent)
-    best_set = incumbent
+    best_set = _first_fit(second, eligible0)
+    best_size = best_set.bit_count()
     nodes = 0
-    chosen: list[int] = []
 
     def cover_upper_bound(eligible: int) -> int:
         # k closed neighborhoods covering the eligible set bound any packing
@@ -166,12 +157,12 @@ def exact_packing(
             avail &= ~closed[pick]
         return cnt
 
-    def dfs(eligible: int, size: int) -> None:
+    def dfs(eligible: int, size: int, chosen: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if size > best_size:
             best_size = size
-            best_set = tuple(chosen)
+            best_set = chosen
         if not eligible or best_size >= limit:
             return
         fewest = n + 1
@@ -192,26 +183,22 @@ def exact_packing(
                 break
             rest ^= low
         else:
-            chosen.append(v)
-            dfs(eligible & ~conflicts, size + 1)
-            chosen.pop()
+            dfs(eligible & ~conflicts, size + 1, chosen | 1 << v)
             return
         if size + cover_upper_bound(eligible) <= best_size:
             return
         for u in _mask_bits(conflicts):
-            chosen.append(u)
-            dfs(eligible & ~second[u], size + 1)
-            chosen.pop()
+            dfs(eligible & ~second[u], size + 1, chosen | 1 << u)
             if best_size >= limit:
                 return
             eligible &= ~(1 << u)
 
     if best_size < limit:
-        dfs(eligible0, 0)
-    return SolveResult(best_size, VertexSet(n, best_set), nodes, True)
+        dfs(eligible0, 0, 0)
+    return SolveResult(best_size, VertexSet.from_mask(n, best_set), nodes, True)
 
 
 def greedy_domination(g: Graph) -> SolveResult:
     """Greedy max-coverage dominating set; H(max degree + 1) guarantee."""
     chosen = _greedy_cover(g.n, g.closed_masks, 0)
-    return SolveResult(len(chosen), VertexSet(g.n, chosen), 0, False)
+    return SolveResult(chosen.bit_count(), VertexSet.from_mask(g.n, chosen), 0, False)

@@ -158,3 +158,36 @@ def test_no_name_is_defined_in_two_modules():
     # One copy of each kernel: a copy left behind and still called in its old
     # module escapes the unread-definition guard above, but not this one.
     assert shared_definitions({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def pair_checkers(sources: dict[str, str]) -> list[str]:
+    """module.function for each function (at any depth) that calls both
+    `is_dominating` and `is_packing`."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                called = {
+                    call.func.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+                if {"is_dominating", "is_packing"} <= called:
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_guard_sees_a_second_pair_check():
+    sources = {
+        "a": "def _pair_fault(g, d, p):\n    return is_dominating(g, d), is_packing(g, p)\n",
+        "b": "def check(g, d, p):\n    if is_packing(g, p) and is_dominating(g, d):\n"
+        "        return 1\ndef half(g, d):\n    return is_dominating(g, d)\n",
+    }
+    assert pair_checkers(sources) == ["a._pair_fault", "b.check"]
+
+
+def test_one_place_checks_a_domination_packing_pair():
+    # Every (D, P) bound rests on one check; a second pairing of the two
+    # predicates could drift from it (for example by short-circuiting past a
+    # set of the wrong capacity).
+    assert pair_checkers({p.stem: p.read_text() for p in MODULES}) == ["graph._pair_fault"]

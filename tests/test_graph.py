@@ -28,6 +28,7 @@ from dompack import (
     split_clique,
 )
 from dompack.generators import GenSpec, derive_seed, gen_gnp
+from dompack.graph import _components
 
 
 def vs(g, *members):
@@ -181,6 +182,37 @@ def test_components():
     assert [g.component_mask(v) for v in range(5)] == [0b11, 0b11, 0b1100, 0b1100, 0b10000]
     assert not g.is_connected()
     assert gen_named("C5").is_connected()
+
+
+def test_component_walk_starts_at_root_then_takes_the_lowest_vertex_left():
+    # Four components, 2 isolated, root 5 in the second by lowest vertex:
+    # {5} {1, 8} {6}, then {0} {4}, then {2}, then {3} {7} {9}.
+    g = Graph(10, [(0, 4), (1, 5), (5, 8), (1, 6), (3, 7), (7, 9)])
+    walk = [[mask_members(g, layer) for layer in layers] for layers in _components(g._adj, 5)]
+    assert walk == [[[5], [1, 8], [6]], [[0], [4]], [[2]], [[3], [7], [9]]]
+
+
+def test_component_walk_layers_are_bfs_distances():
+    # networkx's shortest paths are the oracle: layer i of a component holds
+    # exactly the vertices at distance i from that component's first vertex.
+    import networkx as nx
+
+    for i in range(40):
+        seed = derive_seed(2705, i)
+        g = gen_gnp(GenSpec("gnp", 2 + i, seed, {"edge_prob": 1.5 / (2 + i)}))
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        root = random.Random(seed).randrange(g.n)
+        seen = []
+        for layers in _components(g._adj, root):
+            first = mask_members(g, layers[0])
+            assert first == [root if not seen else min(set(range(g.n)) - set(seen))]
+            dist = nx.single_source_shortest_path_length(h, first[0])
+            assert [mask_members(g, layer) for layer in layers] == [
+                sorted(v for v, d in dist.items() if d == depth) for depth in range(len(layers))
+            ]
+            seen += dist
+        assert sorted(seen) == list(range(g.n))
 
 
 def builder_pin_rows():

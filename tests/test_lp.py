@@ -140,11 +140,19 @@ def test_sandwich_rechecks_an_invalid_witness(monkeypatch, forged):
 @pytest.mark.parametrize("capacity", [6, 2])  # n + 2 and n - 2 on P4
 def test_sandwich_rejects_a_result_from_another_graph(monkeypatch, capacity):
     # The sizes do not meet, yet the foreign witness is an error rather than
-    # a silent fall-back to the simplex.
+    # a silent fall-back to the simplex.  Both checks always run, so it is an
+    # error even beside a witness of the right capacity that fails its own
+    # check ({0, 1} neither dominates nor packs P4).
     runs = count_simplex_runs(monkeypatch)
     p4 = gen_named("P4")
     foreign = SolveResult(1, VertexSet(capacity, [0]), 0, True)
-    for results in ({"gamma": foreign}, {"rho": foreign}):
+    failing = SolveResult(2, VertexSet(4, [0, 1]), 0, True)
+    for results in (
+        {"gamma": foreign},
+        {"rho": foreign},
+        {"gamma": failing, "rho": foreign},
+        {"gamma": foreign, "rho": failing},
+    ):
         with pytest.raises(GraphError, match="capacity"):
             verify_sandwich(p4, **results)
     assert runs == []
