@@ -5,8 +5,8 @@ record; each subcommand adds only its own fields.  Every record, failed ones
 included, carries its graph's graph6, n and m ("", 0 and 0 if none was made),
 its wall_time and, from `verify`, its GenSpec (so it replays bit-exactly).  A
 record that holds gamma and rho solved each of them at most once (once more
-per X set).  `compute` searches for its own gamma and rho, whose witnesses it
-prints; every other value comes from `_gamma_rho`, which searches only when
+per X set).  Every gamma and rho, and each witness `compute` prints, comes
+from `_gamma_rho`, the one caller of the solvers, which searches only when
 no checked gamma = rho pair settles it.  `_Output` writes each record as soon
 as it is made, as a JSON line, an aligned table row or a CSV row, and ends
 with a summary, which returns the exit status: 1 when any record failed (a
@@ -31,7 +31,7 @@ from itertools import repeat
 
 from . import codec
 from .constructions import (
-    _pass_pair_value,
+    _pass_pair,
     chordal_bipartite_dompack,
     homogeneously_orderable_dompack,
     strongly_chordal_dompack,
@@ -54,18 +54,19 @@ from .recognition import (
     find_simple_elimination_ordering,
     is_chordal_bipartite,
 )
-from .solvers import exact_domination, exact_packing
+from .solvers import SolveResult, exact_domination, exact_packing
 
 # Per verify class: the default bound c in gamma <= c * rho, the default --n,
-# and the smallest and largest --n its instance generator can draw from.
+# the smallest and largest --n its instance generator can draw from, and the
+# default --x-samples.
 CLASSES = {
-    "tree": (Fraction(1), 50, 2, MAX_VERTICES),
-    "strongly-chordal": (Fraction(1), 40, 2, MAX_VERTICES),
-    "chordal-bipartite": (Fraction(2), 16, 4, 16),
-    "homogeneously-orderable": (Fraction(2), 14, 2, MAX_VERTICES),
-    "planar": (Fraction(7), 30, 4, MAX_VERTICES),
-    "rook": (Fraction(1), 25, 4, MAX_VERTICES),
-    "any": (Fraction(1), 12, 2, MAX_VERTICES),
+    "tree": (Fraction(1), 50, 2, MAX_VERTICES, 0),
+    "strongly-chordal": (Fraction(1), 40, 2, MAX_VERTICES, 0),
+    "chordal-bipartite": (Fraction(2), 16, 4, 16, 0),
+    "homogeneously-orderable": (Fraction(2), 14, 2, MAX_VERTICES, 0),
+    "planar": (Fraction(7), 30, 4, MAX_VERTICES, 2),
+    "rook": (Fraction(1), 25, 4, MAX_VERTICES, 0),
+    "any": (Fraction(1), 12, 2, MAX_VERTICES, 0),
 }
 CONSTRUCT_CLASSES = ("tree", "strongly-chordal", "chordal-bipartite", "homogeneously-orderable")
 
@@ -202,12 +203,11 @@ def _read_graphs(path: str) -> Iterator[Graph]:
         raise DompackError("no graphs found in input")
 
 
-def _parse_x_set(text: str, g: Graph) -> VertexSet:
+def _parse_x_set(text: str) -> list[int]:
     try:
-        members = [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise DompackError(f"--x-set must list vertex indices, got {text!r}") from None
-    return VertexSet(g.n, members)
 
 
 def _parse_fraction(text: str, option: str) -> Fraction:
@@ -234,31 +234,31 @@ def _max_n(n: int | None, default: int, least: int, most: int = MAX_VERTICES) ->
 # -- compute -------------------------------------------------------------------
 
 
-def _gamma_rho(g: Graph, x: VertexSet | None = None) -> tuple[int, int]:
-    """(gamma_X, rho_X) of g: both from one checked pass pair when it
-    settles gamma_X = rho_X, else from the two searches, the packing search
-    stopped once it reaches gamma_X."""
-    settled = _pass_pair_value(g, x)
-    if settled is not None:
-        return settled, settled
-    gamma = exact_domination(g, x).value
-    return gamma, exact_packing(g, x, at_most=gamma).value
+def _gamma_rho(g: Graph, x: VertexSet | None = None) -> tuple[SolveResult, SolveResult]:
+    """gamma_X and rho_X of g with their witnesses: one checked pass pair
+    (0 nodes) when it settles gamma_X = rho_X, else the two searches, the
+    packing search stopped once it reaches gamma_X."""
+    pair = _pass_pair(g, x)
+    if pair is not None:
+        return tuple(SolveResult(len(s), s, 0, True) for s in pair)
+    gamma = exact_domination(g, x)
+    return gamma, exact_packing(g, x, at_most=gamma.value)
 
 
 def cmd_compute(args) -> int:
     out = _Output(args)
+    members = _parse_x_set(args.x_set) if args.x_set else None
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()
-        gamma = exact_domination(g)
-        rho = exact_packing(g)
+        x = None if members is None else VertexSet(g.n, members)
+        gamma, rho = _gamma_rho(g)
         fields = {}
         if args.fractional:
             report = verify_sandwich(g, gamma=gamma, rho=rho)
             fields.update(gamma_f=report.gamma_f, passed=report.holds)
-        if args.x_set:
-            x = _parse_x_set(args.x_set, g)
+        if x is not None:
             gx, rx = _gamma_rho(g, x)
-            fields.update(gamma_x=gx, rho_x=rx, x_set=sorted(x))
+            fields.update(gamma_x=gx.value, rho_x=rx.value, x_set=sorted(x))
         out.record(_record(
             g, t0,
             gamma=gamma.value,
@@ -316,14 +316,14 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -
         if isinstance(exc, GenerationBudgetError):
             fields["gen_attempts"] = exc.attempts
         return _record(None, t0, passed=False, error=str(exc), **fields)
-    gamma, rho = _gamma_rho(g)
+    gamma, rho = (r.value for r in _gamma_rho(g))
     passed = gamma <= bound * rho
     if x_samples:
         rng = random.Random(derive_seed(spec.seed, 991))
         x_checks = []
         for _ in range(x_samples):
             x = VertexSet(g.n, [v for v in range(g.n) if rng.random() < x_prob])
-            gx, rx = _gamma_rho(g, x)
+            gx, rx = (r.value for r in _gamma_rho(g, x))
             passed = passed and gx <= bound * rx
             x_checks.append({"x": sorted(x), "gamma_x": gx, "rho_x": rx})
         fields["x_checks"] = x_checks
@@ -334,16 +334,16 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -
 
 def cmd_verify(args) -> int:
     cls = args.cls
-    default_bound, default_n, least_n, most_n = CLASSES[cls]
+    default_bound, default_n, least_n, most_n, default_x_samples = CLASSES[cls]
     bound = _parse_fraction(args.bound, "--bound") if args.bound else default_bound
     max_n = _max_n(args.n, default_n, least_n, most_n)
     _in_range("--count", args.count, 0)
     _in_range("--x-prob", args.x_prob, 0, 1)
-    _in_range("--x-samples", args.x_samples, 0)
+    x_samples = default_x_samples if args.x_samples is None else args.x_samples
+    _in_range("--x-samples", x_samples, 0)
     _in_range("--jobs", args.jobs, 1)
     seed = _seed(args)
     specs = [_instance_spec(cls, i, seed, max_n) for i in range(args.count)]
-    x_samples = args.x_samples if cls == "planar" else 0
     out = _Output(args)
     worst = Fraction(0)
     errors = generated = attempts = 0  # error records; chordal-bipartite graphs, all attempts
@@ -410,7 +410,7 @@ def cmd_construct(args) -> int:
         if len(cert.d) == len(cert.p):
             gamma = rho = len(cert.d)
         else:
-            gamma, rho = _gamma_rho(g)
+            gamma, rho = (r.value for r in _gamma_rho(g))
         out.record(_record(
             g, t0, certificate=cert.to_dict(), gamma=gamma, rho=rho, bound=cert.bound_constant
         ))
@@ -523,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", help="rational c to assert gamma <= c * rho (default per class)")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, help="max vertex count (default per class)")
-    p.add_argument("--x-prob", type=float, default=0.25, help="planar: P(v in X)")
-    p.add_argument("--x-samples", type=int, default=2, help="planar: random X sets per instance")
+    p.add_argument("--x-prob", type=float, default=0.25, help="P(v in X) in each X sample")
+    p.add_argument("--x-samples", type=int, help="random X sets per instance (default per class)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_common(p, seeded=True)
     p.set_defaults(func=cmd_verify)

@@ -10,8 +10,8 @@ Brandstaedt-Dragan-Nicolai characterisation of the class.
 Every algorithm hands its D and P to `_finalize`, the one place that builds a
 DomPackCertificate; it revalidates them with `graph._pair_fault`, and an
 invalid certificate raises instead of being returned.
-`_pass_pair_value` runs the same pass on any graph, along BFS layers deepest
-first, and returns gamma_X = rho_X when the pair it makes checks out.
+`_pass_pair` runs the same pass on any graph, along BFS layers deepest
+first, and returns its pair (D, P) when it checks out: gamma_X = rho_X = |P|.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def _deepest_first(adj: Sequence[int], root: int) -> list[int]:
     return order
 
 
-def _pass_pair_value(g: Graph, x: VertexSet | None = None) -> int | None:
-    """gamma_X(g) = rho_X(g) when one gamma = rho pass proves it, else None.
+def _pass_pair(g: Graph, x: VertexSet | None = None) -> tuple[VertexSet, VertexSet] | None:
+    """(D, P) proving gamma_X(g) = rho_X(g) = |P| from one gamma = rho pass, or None.
 
     The pass runs with X dominated from the start along `_deepest_first`
     from vertex 0: the tree construction's order, which is a simple
@@ -125,7 +125,7 @@ def _pass_pair_value(g: Graph, x: VertexSet | None = None) -> int | None:
     """
     d_mask, p_mask = _gamma_rho_pass(g, _deepest_first(g._adj, 0), _set_mask(g, x))
     d, p = VertexSet.from_mask(g.n, d_mask), VertexSet.from_mask(g.n, p_mask)
-    return None if _pair_fault(g, d, p, x) else len(p)
+    return None if _pair_fault(g, d, p, x) else (d, p)
 
 
 def tree_dompack(t: Graph, root: int) -> DomPackCertificate:

@@ -33,12 +33,17 @@ class SolveResult:
 
 def _greedy_cover(n: int, closed: tuple[int, ...], covered: int) -> int:
     """Greedy max-coverage dominating completion starting from `covered`,
-    as the mask of the vertices it takes; `max` keeps the first maximum, so
-    ties go to the lowest index."""
+    as the mask of the vertices it takes; the strict `>` keeps ties at the
+    lowest index."""
     full = (1 << n) - 1
     chosen = 0
     while covered != full:
-        v = max(range(n), key=lambda u: (closed[u] & ~covered).bit_count())
+        best = 0
+        for u in range(n):
+            gain = (closed[u] & ~covered).bit_count()
+            if gain > best:
+                best = gain
+                v = u
         chosen |= 1 << v
         covered |= closed[v]
     return chosen

@@ -203,6 +203,21 @@ def test_verify_planar_with_x(capsys):
     assert not any({"gamma_x", "rho_x", "x_set"} & rec.keys() for rec in records)
 
 
+def test_verify_x_samples_apply_to_every_class(capsys):
+    # --x-samples defaults to 0 off planar, and is honoured when given.
+    args = ["verify", "--class", "tree", "--count", "6", "--n", "12", "--seed", "4"]
+    _, out = run_cli(capsys, *args, "--format", "json")
+    records, _ = json_records(out)
+    assert not any("x_checks" in rec for rec in records)
+    code, out = run_cli(capsys, *args, "--x-samples", "2", "--x-prob", "0.5", "--format", "json")
+    assert code == 0
+    records, summary = json_records(out)
+    assert len(records) == 6 and summary["violations"] == 0
+    for rec in records:
+        assert len(rec["x_checks"]) == 2
+        assert all(xc["gamma_x"] == xc["rho_x"] for xc in rec["x_checks"])
+
+
 def test_verify_records_replay(capsys):
     code, out = run_cli(
         capsys, "verify", "--class", "strongly-chordal", "--count", "6",
@@ -469,29 +484,58 @@ def test_lemmacheck_records_carry_their_graph(capsys, monkeypatch):
         assert rec["wall_time"] > 0
 
 
-def test_compute_fractional_solves_each_graph_once(capsys, monkeypatch, tmp_path):
+def test_compute_takes_gamma_and_rho_from_one_place(capsys, monkeypatch, tmp_path):
+    # Every graph on <= 5 vertices and C6 under `compute --fractional`: the
+    # pass runs once per graph, each search at most once and only where the
+    # pass leaves gamma = rho open, the sandwich solves nothing itself, and
+    # the simplex runs exactly where gamma > rho.
     import dompack.cli
     import dompack.lp
+    from dompack.generators import all_graphs
+    from dompack.graph import VertexSet, _pair_fault
+    from dompack.solvers import exact_domination, exact_packing
 
-    calls = {"exact_domination": 0, "exact_packing": 0}
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def watched(name, fn):
+        def wrapper(g, *args, **kwargs):
+            result = fn(g, *args, **kwargs)
+            calls.append((name, emit_graph6(g), result is not None))
+            return result
 
         return wrapper
 
-    for module in (dompack.cli, dompack.lp):
-        for name in calls:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    graphs = [gen_named(name) for name in ("K1", "C4", "P7", "C6")]
+    for name in ("_pass_pair", "exact_domination", "exact_packing"):
+        monkeypatch.setattr(dompack.cli, name, watched(name, getattr(dompack.cli, name)))
+    for name in ("exact_domination", "exact_packing"):
+        monkeypatch.setattr(dompack.lp, name, watched("lp." + name, getattr(dompack.lp, name)))
+    monkeypatch.setattr(
+        dompack.lp, "fractional_domination",
+        watched("fractional_domination", dompack.lp.fractional_domination),
+    )
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)] + [gen_named("C6")]
     path = tmp_path / "in.g6"
     path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
     code, out = run_cli(capsys, "compute", str(path), "--fractional", "--format", "json")
     assert code == 0
-    assert len(json_records(out)[0]) == len(graphs)
-    assert calls == {"exact_domination": len(graphs), "exact_packing": len(graphs)}
+    records, _ = json_records(out)
+    assert len(records) == len(graphs)
+    for g, rec in zip(graphs, records):
+        g6 = emit_graph6(g)
+        made = [(name, settled) for name, h, settled in calls if h == g6]
+        settled = made[0] == ("_pass_pair", True)
+        searched = [] if settled else [("exact_domination", True), ("exact_packing", True)]
+        lp = [("fractional_domination", True)] if rec["gamma"] > rec["rho"] else []
+        assert made == [("_pass_pair", settled)] + searched + lp, g6
+        d = VertexSet(g.n, rec["gamma_witness"])
+        p = VertexSet(g.n, rec["rho_witness"])
+        assert _pair_fault(g, d, p) is None, g6
+        assert (len(d), len(p)) == (rec["gamma"], rec["rho"]), g6
+        assert (rec["gamma"], rec["rho"]) == (exact_domination(g).value, exact_packing(g).value)
+    assert any(name == "exact_domination" for name, _, _ in calls)
+    assert any(name == "fractional_domination" for name, _, _ in calls)
+    _, again = run_cli(capsys, "compute", str(path), "--fractional", "--format", "json")
+    assert strip_wall_time(again) == strip_wall_time(out)
 
 
 def test_table_and_csv_formats(capsys, tmp_path):
@@ -519,7 +563,7 @@ def test_bad_out_path_fails_before_any_solve(capsys, monkeypatch, tmp_path):
     import dompack.cli
 
     calls = []
-    for name in ("_pass_pair_value", "exact_domination", "exact_packing"):
+    for name in ("_pass_pair", "exact_domination", "exact_packing"):
         solve = getattr(dompack.cli, name)
         monkeypatch.setattr(
             dompack.cli, name, lambda *a, solve=solve, **k: calls.append(a) or solve(*a, **k)
@@ -528,6 +572,27 @@ def test_bad_out_path_fails_before_any_solve(capsys, monkeypatch, tmp_path):
     code = main(["verify", "--class", "tree", "--count", "5", "--out", "missing-dir/x.json"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot write missing-dir/x.json")
+    assert calls == []
+
+
+@pytest.mark.parametrize("x_set", ["a", "0,9"])
+def test_bad_x_set_fails_before_any_solve(capsys, monkeypatch, tmp_path, x_set):
+    # C4 is left open by the pass, so a late --x-set check would run both
+    # searches and the simplex first; "a" is no vertex list, and C4 has no
+    # vertex 9.
+    import dompack.cli
+
+    calls = []
+    for name in ("_pass_pair", "exact_domination", "exact_packing", "verify_sandwich"):
+        solve = getattr(dompack.cli, name)
+        monkeypatch.setattr(
+            dompack.cli, name, lambda *a, solve=solve, **k: calls.append(a) or solve(*a, **k)
+        )
+    path = tmp_path / "g.g6"
+    path.write_text(emit_graph6(gen_named("C4")) + "\n")
+    code = main(["compute", str(path), "--fractional", "--x-set", x_set])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
 
 
@@ -671,29 +736,6 @@ PINNED_RUNS = (
         for lemma in ("triangulate", "discharge", "charge-audit")
     ]
 )
-# sha256 of PINNED_RUNS' exit codes and JSON output, wall_time stripped: any
-# change to an answer, witness, ordering, field or exit status shows here.
-PINNED_OUTPUT_SHA256 = "b041131f46f3ce9c6bbf25034f11059cec6068f7b83a91105164f280b1b26342"
-
-
-def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path):
-    from dompack.generators import all_graphs, all_trees
-
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DOMPACK_SEED", raising=False)
-    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
-    graphs += [t for n in range(1, 11) for t in all_trees(n)]
-    assert len(graphs) == 409
-    (tmp_path / "graphs.g6").write_text("".join(emit_graph6(g) + "\n" for g in graphs))
-    digest = hashlib.sha256()
-    for argv in PINNED_RUNS:
-        argv = argv + ["--format", "json"]
-        code, out = run_cli(capsys, *argv)
-        lines = [json.loads(line) for line in out.splitlines()]
-        for rec in lines:
-            rec.pop("wall_time", None)
-        digest.update(json.dumps([argv, code, lines], sort_keys=True).encode())
-    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
 # One round of the benchmark's `lemmas` workload at seed 1.
@@ -717,15 +759,17 @@ def test_lemma_round_is_pinned(capsys):
 
 
 @pytest.fixture(scope="module")
-def pinned_text(tmp_path_factory):
-    """{format: [(argv, exit code, output)]}: PINNED_RUNS as table and as CSV."""
+def pinned_outputs(tmp_path_factory):
+    """{format: [(argv, exit code, output)]}: PINNED_RUNS in each format,
+    over every graph on <= 6 vertices and every tree on <= 10."""
     from dompack.generators import all_graphs, all_trees
 
     tmp_path = tmp_path_factory.mktemp("pinned")
     graphs = [g for n in range(1, 7) for g in all_graphs(n)]
     graphs += [t for n in range(1, 11) for t in all_trees(n)]
+    assert len(graphs) == 409
     (tmp_path / "graphs.g6").write_text("".join(emit_graph6(g) + "\n" for g in graphs))
-    runs = {"table": [], "csv": []}
+    runs = {"json": [], "table": [], "csv": []}
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("DOMPACK_SEED", raising=False)
@@ -734,6 +778,36 @@ def pinned_text(tmp_path_factory):
                 argv = argv + ["--format", fmt, "--out", "out.txt"]
                 outputs.append((argv, main(argv), (tmp_path / "out.txt").read_text()))
     return runs
+
+
+def json_digest(pinned_outputs, dropped=()):
+    """sha256 of the JSON runs' argv (without --out), exit codes and records,
+    with wall_time and the `dropped` keys stripped from every record."""
+    digest = hashlib.sha256()
+    for argv, code, text in pinned_outputs["json"]:
+        lines = [json.loads(line) for line in text.splitlines()]
+        for rec in lines:
+            for key in ("wall_time", *dropped):
+                rec.pop(key, None)
+        digest.update(json.dumps([argv[:-2], code, lines], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# sha256 of PINNED_RUNS' exit codes and JSON output, wall_time stripped: any
+# change to an answer, witness, ordering, field or exit status shows here.
+PINNED_OUTPUT_SHA256 = "08cc185931ac886fe060407ab195cc9be988c4a6b6542617bd1a3b9dcf46952a"
+# The same with the gamma and rho witnesses stripped as well: every value,
+# field and exit status, whichever valid witnesses the CLI prints.
+PINNED_VALUES_SHA256 = "9d7b233dbca9373752b0cc37fcf557d859593be3d6424361ecf7f4a44755cc9d"
+
+
+def test_cli_output_is_pinned(pinned_outputs):
+    assert json_digest(pinned_outputs) == PINNED_OUTPUT_SHA256
+
+
+def test_cli_values_are_pinned(pinned_outputs):
+    dropped = ("gamma_witness", "rho_witness")
+    assert json_digest(pinned_outputs, dropped) == PINNED_VALUES_SHA256
 
 
 # sha256 per format of PINNED_RUNS' exit codes and output, CSV's last column
@@ -745,9 +819,9 @@ PINNED_TEXT_SHA256 = {
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
-def test_table_and_csv_output_is_pinned(pinned_text, fmt):
+def test_table_and_csv_output_is_pinned(pinned_outputs, fmt):
     digest = hashlib.sha256()
-    for argv, code, text in pinned_text[fmt]:
+    for argv, code, text in pinned_outputs[fmt]:
         lines = text.splitlines()
         if fmt == "csv":
             lines = [line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines]
@@ -755,11 +829,11 @@ def test_table_and_csv_output_is_pinned(pinned_text, fmt):
     assert digest.hexdigest() == PINNED_TEXT_SHA256[fmt]
 
 
-def test_csv_rows_need_no_quoting(pinned_text):
+def test_csv_rows_need_no_quoting(pinned_outputs):
     # Every CSV row splits on commas into exactly the columns it writes.
     from dompack.cli import _Output
 
-    for _, _, text in pinned_text["csv"]:
+    for _, _, text in pinned_outputs["csv"]:
         for line in text.splitlines():
             if not line.startswith("#"):
                 assert len(line.split(",")) == len(_Output.COLUMNS), line

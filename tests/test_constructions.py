@@ -22,7 +22,7 @@ from dompack import (
     strongly_chordal_dompack,
     tree_dompack,
 )
-from dompack.constructions import _finalize, _pass_pair_value
+from dompack.constructions import _finalize, _pass_pair
 from dompack.generators import (
     GenSpec,
     all_graphs,
@@ -245,10 +245,11 @@ def test_exhaustive_small_trees():
             assert len(cert.d) == len(cert.p) == exact_domination(t).value
 
 
-def test_pass_pair_value_is_exact_where_it_settles():
+def test_pass_pair_is_exact_where_it_settles():
     # Every graph on <= 7 vertices, with no X and with one seeded X.  Off
-    # forests the pass's P is often no packing, and a value returned then
-    # would be wrong; where the pair checks out, gamma_X = rho_X = its size.
+    # forests the pass's P is often no packing, and a pair returned then
+    # would be wrong; where the pair checks out, D dominates with X, P is a
+    # packing outside X, and gamma_X = rho_X = |D| = |P|.
     runs = settled = 0
     for n in range(1, 8):
         for i, g in enumerate(all_graphs(n)):
@@ -256,11 +257,13 @@ def test_pass_pair_value_is_exact_where_it_settles():
             for x in (None, VertexSet(n, [v for v in range(n) if rng.random() < 0.25])):
                 gamma = exact_domination(g, x).value
                 rho = exact_packing(g, x).value
-                value = _pass_pair_value(g, x)
+                pair = _pass_pair(g, x)
                 runs += 1
-                if value is not None:
+                if pair is not None:
                     settled += 1
-                    assert value == gamma == rho, (emit_graph6(g), x)
+                    d, p = pair
+                    assert is_dominating(g, d, x) and is_packing(g, p, x), (emit_graph6(g), x)
+                    assert len(d) == len(p) == gamma == rho, (emit_graph6(g), x)
     assert (runs, settled) == (2504, 1585)
 
 

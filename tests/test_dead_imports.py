@@ -191,3 +191,39 @@ def test_one_place_checks_a_domination_packing_pair():
     # predicates could drift from it (for example by short-circuiting past a
     # set of the wrong capacity).
     assert pair_checkers({p.stem: p.read_text() for p in MODULES}) == ["graph._pair_fault"]
+
+
+
+# The names through which the CLI reaches a search or the gamma = rho pass.
+SOLVES = {"exact_domination", "exact_packing", "_pass_pair"}
+
+
+def solve_readers(source: str) -> list[str]:
+    """The module-level definitions of `source` that read a name in SOLVES,
+    as a bare name or as an attribute ("<module>" for any other statement).
+    An import is no read."""
+    found = set()
+    for node in ast.parse(source).body:
+        for leaf in ast.walk(node):
+            name = leaf.id if isinstance(leaf, ast.Name) else getattr(leaf, "attr", None)
+            if name in SOLVES:
+                found.add(getattr(node, "name", "<module>"))
+    return sorted(found)
+
+
+def test_guard_sees_a_second_way_to_solve():
+    source = (
+        "from .solvers import exact_domination, exact_packing\n"
+        "def _gamma_rho(g):\n    return exact_domination(g), exact_packing(g)\n"
+        "def cmd_compute(args):\n    return [exact_packing(g) for g in args]\n"
+        "class Runner:\n    def run(self, g):\n        return solvers.exact_domination(g)\n"
+        "def cmd_verify(args):\n    return _gamma_rho(args)\n"
+        "PASS = _pass_pair\n"
+    )
+    assert solve_readers(source) == ["<module>", "Runner", "_gamma_rho", "cmd_compute"]
+
+
+def test_only_gamma_rho_solves_in_the_cli():
+    # Every gamma, rho and witness the CLI prints comes from one path, which
+    # tries the checked pass pair before any search.
+    assert solve_readers((PACKAGE / "cli.py").read_text()) == ["_gamma_rho"]
