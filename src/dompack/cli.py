@@ -247,7 +247,7 @@ def _gamma_rho(g: Graph, x: VertexSet | None = None) -> tuple[SolveResult, Solve
 
 def cmd_compute(args) -> int:
     out = _Output(args)
-    members = _parse_x_set(args.x_set) if args.x_set else None
+    members = None if args.x_set is None else _parse_x_set(args.x_set)
     for g in _read_graphs(args.input):
         t0 = time.perf_counter()
         x = None if members is None else VertexSet(g.n, members)
@@ -335,7 +335,8 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -
 def cmd_verify(args) -> int:
     cls = args.cls
     default_bound, default_n, least_n, most_n, default_x_samples = CLASSES[cls]
-    bound = _parse_fraction(args.bound, "--bound") if args.bound else default_bound
+    bound = default_bound if args.bound is None else _parse_fraction(args.bound, "--bound")
+    _in_range("--bound", bound, 1)  # rho <= gamma, so c < 1 fails every graph
     max_n = _max_n(args.n, default_n, least_n, most_n)
     _in_range("--count", args.count, 0)
     _in_range("--x-prob", args.x_prob, 0, 1)
@@ -520,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="bound-verification campaign over generated instances")
     p.add_argument("--class", dest="cls", choices=CLASSES, required=True)
-    p.add_argument("--bound", help="rational c to assert gamma <= c * rho (default per class)")
+    p.add_argument("--bound", help="rational c >= 1 to assert gamma <= c * rho (default per class)")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, help="max vertex count (default per class)")
     p.add_argument("--x-prob", type=float, default=0.25, help="P(v in X) in each X sample")

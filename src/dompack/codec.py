@@ -29,25 +29,27 @@ def _adjacency(mask: int, n: int) -> list[int]:
     return adj
 
 
-def _encode(value: int, length: int) -> str:
-    """`value` as `length` graph6 characters, six bits each, high bits first."""
-    return "".join(chr((value >> s & 0x3F) + 63) for s in range(6 * length - 6, -1, -6))
+# Each 6-bit string, high bit first, to its graph6 character, and back.
+_CHAR = {format(c, "06b"): chr(c + 63) for c in range(64)}
+_BITS = {ch: bits for bits, ch in _CHAR.items()}
 
 
-def _decode(chars: str, field: str) -> int:
-    """The value of graph6 `field` characters, six bits each, high bits first."""
-    value = 0
-    for ch in chars:
-        c = ord(ch) - 63
-        if not 0 <= c <= 0x3F:
-            raise ParseError(f"invalid graph6 {field} character {ch!r}")
-        value = value << 6 | c
-    return value
+def _encode(bits: str) -> str:
+    """`bits` as graph6 characters, six bits each, first bits first."""
+    return "".join([_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+
+
+def _decode(chars: str, field: str) -> str:
+    """The bits of graph6 `field` characters, six each, first bits first."""
+    try:
+        return "".join([_BITS[ch] for ch in chars])
+    except KeyError as exc:
+        raise ParseError(f"invalid graph6 {field} character {exc.args[0]!r}") from None
 
 
 def _encode_count(n: int) -> str:
     # 63 <= n <= 258047: '~' then 18 bits in three characters
-    return _encode(n, 1) if n <= 62 else "~" + _encode(n, 3)
+    return _encode(format(n, "06b")) if n <= 62 else "~" + _encode(format(n, "018b"))
 
 
 def _decode_count(text: str) -> tuple[int, int]:
@@ -55,12 +57,12 @@ def _decode_count(text: str) -> tuple[int, int]:
     if not text:
         raise ParseError("empty graph6 string")
     if text[0] != "~":
-        return _decode(text[0], "size"), 1
+        return int(_decode(text[0], "size"), 2), 1
     if text[1:2] == "~":
         raise ParseError("graph6 sizes beyond 258047 are not supported")
     if len(text) < 4:
         raise ParseError("truncated graph6 size field")
-    return _decode(text[1:4], "size"), 4
+    return int(_decode(text[1:4], "size"), 2), 4
 
 
 def emit_graph6(g: Graph) -> str:
@@ -70,7 +72,8 @@ def emit_graph6(g: Graph) -> str:
         mask = mask << j | g.adjacency_mask(j) & ((1 << j) - 1)
     length = (n * (n - 1) // 2 + 5) // 6
     # Reversed over the body's 6 * length bits, pair 0 is the first bit written.
-    return _encode_count(n) + _encode(int(format(mask, f"0{6 * length}b")[::-1], 2), length)
+    bits = format(mask, f"0{6 * length}b")[::-1] if length else ""
+    return _encode_count(n) + _encode(bits)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -87,7 +90,8 @@ def parse_graph6(text: str) -> Graph:
     need = (npairs + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body length {len(body)} does not match n={n} (expected {need})")
-    mask = int(format(_decode(body, "data"), f"0{6 * need}b")[::-1], 2)
+    bits = _decode(body, "data")
+    mask = int(bits[::-1], 2) if bits else 0
     if mask >> npairs:
         raise ParseError("nonzero padding bits in graph6 body")
     return Graph._from_adjacency(_adjacency(mask, n))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, GraphError
-from .graph import Graph, VertexSet, _components, _mask_bits, _pair_fault, _set_mask
+from .graph import Graph, VertexSet, _best_cover, _components, _mask_bits, _pair_fault, _set_mask
 from .recognition import (
     _square_cliques,
     bipartition,
@@ -77,27 +77,21 @@ def _gamma_rho_pass(
 
     When v is still undominated, v joins P and its dominator joins D: the
     member of N[v] whose closed neighborhood in the suffix graph is the
-    inclusion maximum of the simple-vertex chain at v, the lowest index on
-    ties.  The packing property of P is exactly where the ordering is
-    exercised, so `_finalize` always revalidates the result.  `dominated`
-    is the mask of the vertices taken as dominated from the start (an X);
-    none of them joins P.  No dominator is picked twice, since a picked one
-    dominates v, so |D| = |P|.
+    inclusion maximum of the simple-vertex chain at v, hence the largest:
+    the `_best_cover` pick, the lowest index on ties.  The packing property
+    of P is exactly where the ordering is exercised, so `_finalize` always
+    revalidates the result.  `dominated` is the mask of the vertices taken
+    as dominated from the start (an X); none of them joins P.  No dominator
+    is picked twice, since a picked one dominates v, so |D| = |P|.
     """
-    adj, closed = g._adj, g.closed_masks
+    closed = g.closed_masks
     active = (1 << g.n) - 1
     d_mask = p_mask = 0
     for v in ordering:
         if not (dominated >> v) & 1:
-            best_u = -1
-            best_cover = -1
-            for u in _mask_bits(closed[v] & active):
-                cover = (adj[u] & active).bit_count()
-                if cover > best_cover:
-                    best_cover = cover
-                    best_u = u
-            d_mask |= 1 << best_u
-            dominated |= closed[best_u]
+            u = _best_cover(closed, closed[v] & active, active)
+            d_mask |= 1 << u
+            dominated |= closed[u]
             p_mask |= 1 << v
         active &= ~(1 << v)
     return d_mask, p_mask

@@ -8,9 +8,10 @@ and the private `Graph._from_adjacency` takes trusted masks; both end in
 `Graph._fill`, which checks 1 <= n <= MAX_VERTICES and sets every attribute.
 A `VertexSet` passed together with a graph (to the predicates here, to
 `induced_subgraph` and to the solvers) must have capacity g.n; any other
-capacity raises `GraphError`.  Two private kernels serve the other modules:
-`_components` is the one walk over a graph's components, and `_pair_fault`
-the one check of a domination-packing pair (D, P).
+capacity raises `GraphError`.  Private kernels serve the other modules:
+`_first_fit` is the one lowest-index-first greedy, `_best_cover` the one
+max-coverage pick, `_components` the one walk over a graph's components,
+and `_pair_fault` the one check of a domination-packing pair (D, P).
 """
 
 from __future__ import annotations
@@ -85,6 +86,21 @@ def _first_fit(masks: tuple[int, ...], allowed: int) -> int:
         taken |= low
         allowed &= ~masks[low.bit_length() - 1]
     return taken
+
+
+def _best_cover(closed: tuple[int, ...], candidates: int, target: int) -> int:
+    """The lowest vertex u of `candidates` (nonempty) whose closed[u] holds
+    the most of `target`: the max-coverage pick, ties to the lowest index."""
+    best = -1
+    while candidates:
+        low = candidates & -candidates
+        u = low.bit_length() - 1
+        candidates ^= low
+        gain = (closed[u] & target).bit_count()
+        if gain > best:  # strict: ties go to the lowest index
+            best = gain
+            pick = u
+    return pick
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

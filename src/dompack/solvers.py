@@ -2,9 +2,10 @@
 
 `exact_domination` / `exact_packing` are branch-and-bound searches over
 bitmask state, their chosen and best sets included, and `greedy_domination`
-is the max-coverage greedy, whose size is at most H(max degree + 1) times
-gamma.  Ties break toward the lowest vertex index everywhere so witnesses
-are reproducible.
+is the max-coverage greedy (also the domination incumbent), whose size is
+at most H(max degree + 1) times gamma.  Its picks and those of the packing
+cover bound are `graph._best_cover`'s.  Ties break toward the lowest vertex
+index everywhere so witnesses are reproducible.
 
 Both searches branch on the most constrained vertex.  Domination is a set
 cover of the uncovered vertices by closed neighbourhoods: it branches on the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, _first_fit, _mask_bits, _set_mask
+from .graph import Graph, VertexSet, _best_cover, _first_fit, _mask_bits, _set_mask
 
 
 @dataclass(frozen=True)
@@ -33,17 +34,11 @@ class SolveResult:
 
 def _greedy_cover(n: int, closed: tuple[int, ...], covered: int) -> int:
     """Greedy max-coverage dominating completion starting from `covered`,
-    as the mask of the vertices it takes; the strict `>` keeps ties at the
-    lowest index."""
+    as the mask of the vertices it takes, each pick by `_best_cover`."""
     full = (1 << n) - 1
     chosen = 0
     while covered != full:
-        best = 0
-        for u in range(n):
-            gain = (closed[u] & ~covered).bit_count()
-            if gain > best:
-                best = gain
-                v = u
+        v = _best_cover(closed, full, full & ~covered)
         chosen |= 1 << v
         covered |= closed[v]
     return chosen
@@ -142,24 +137,14 @@ def exact_packing(
     def cover_upper_bound(eligible: int) -> int:
         # k closed neighborhoods covering the eligible set bound any packing
         # inside it by k (two packing members never share a neighborhood);
-        # each round covers the lowest eligible vertex with its best
-        # closed neighbor.
+        # each round covers the lowest eligible vertex with the closed
+        # neighbor that `_best_cover` picks.
         cnt = 0
         avail = eligible
         while avail:
             v = (avail & -avail).bit_length() - 1
             cnt += 1
-            best = -1
-            cands = closed[v]
-            while cands:
-                low = cands & -cands
-                u = low.bit_length() - 1
-                cands ^= low
-                gain = (closed[u] & avail).bit_count()
-                if gain > best:
-                    best = gain
-                    pick = u
-            avail &= ~closed[pick]
+            avail &= ~closed[_best_cover(closed, closed[v], avail)]
         return cnt
 
     def dfs(eligible: int, size: int, chosen: int) -> None:

@@ -58,6 +58,18 @@ def test_compute_with_x_set(capsys, tmp_path):
     assert records[0]["gamma_x"] == 1 and records[0]["rho_x"] == 1
 
 
+def test_compute_with_empty_x_set(capsys, tmp_path):
+    # --x-set "" is X = {}, which leaves gamma_X = gamma and rho_X = rho.
+    path = tmp_path / "g.g6"
+    path.write_text(emit_graph6(gen_named("C4")) + "\n" + emit_graph6(gen_named("P7")) + "\n")
+    code, out = run_cli(capsys, "compute", str(path), "--x-set", "", "--format", "json")
+    assert code == 0
+    records, _ = json_records(out)
+    assert len(records) == 2
+    for rec in records:
+        assert (rec["gamma_x"], rec["rho_x"], rec["x_set"]) == (rec["gamma"], rec["rho"], [])
+
+
 def test_compute_x_out_of_range(capsys, tmp_path):
     path = tmp_path / "g.g6"
     path.write_text(emit_graph6(gen_named("C4")) + "\n")
@@ -132,6 +144,9 @@ def test_input_with_only_comments_has_no_graphs(capsys, tmp_path):
         ["lemmacheck", "--lemma", "discharge", "--n", "0"],
         ["compute", "-", "--x-set", "a"],
         ["verify", "--class", "tree", "--bound", "x"],
+        ["verify", "--class", "tree", "--bound", ""],
+        ["verify", "--class", "tree", "--bound", "-1"],
+        ["verify", "--class", "tree", "--bound", "1/2"],
         ["compute", "missing.g6"],
         ["compute", "-", "--out", "missing-dir/out.json"],
         ["compute", "binary.dat"],

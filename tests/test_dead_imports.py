@@ -227,3 +227,55 @@ def test_only_gamma_rho_solves_in_the_cli():
     # Every gamma, rho and witness the CLI prints comes from one path, which
     # tries the checked pass pair before any search.
     assert solve_readers((PACKAGE / "cli.py").read_text()) == ["_gamma_rho"]
+
+
+def max_coverage_picks(sources: dict[str, str]) -> list[str]:
+    """module.function for each module-level function that tests
+    `if gain > best` on a name `gain` assigned from a `.bit_count()` call."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            counted = {
+                target.id
+                for stmt in ast.walk(node)
+                if isinstance(stmt, ast.Assign)
+                and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "bit_count"
+                    for call in ast.walk(stmt.value)
+                )
+                for target in stmt.targets
+                if isinstance(target, ast.Name)
+            }
+            if any(
+                isinstance(stmt, ast.If)
+                and isinstance(stmt.test, ast.Compare)
+                and isinstance(stmt.test.ops[0], ast.Gt)
+                and getattr(stmt.test.left, "id", None) in counted
+                for stmt in ast.walk(node)
+            ):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_guard_sees_a_second_max_coverage_pick():
+    sources = {
+        "a": "def _best_cover(closed, candidates, target):\n"
+        "    for u in candidates:\n        gain = (closed[u] & target).bit_count()\n"
+        "        if gain > best:\n            best, pick = gain, u\n",
+        "b": "def search(g):\n    def bound(avail):\n        for u in avail:\n"
+        "            cover = (g[u] & avail).bit_count()\n            if cover > most:\n"
+        "                most = cover\n    return bound\n"
+        "def fewest(g):\n    for u in g:\n        count = g[u].bit_count()\n"
+        "        if count < least:\n            least = count\n"
+        "def larger(a, b):\n    if a > b:\n        return a\n",
+    }
+    assert max_coverage_picks(sources) == ["a._best_cover", "b.search"]
+
+
+def test_one_max_coverage_pick():
+    # The domination incumbent, the packing cover bound and the gamma = rho
+    # pass all take the closed neighbourhood that covers most of what is
+    # left, ties to the lowest index: one kernel makes that pick for all.
+    assert max_coverage_picks({p.stem: p.read_text() for p in MODULES}) == ["graph._best_cover"]

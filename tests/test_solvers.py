@@ -4,6 +4,7 @@ from solver_reference import brute_force_domination, brute_force_packing
 from test_recognition import kernel_pin_corpus
 
 from dompack import (
+    Graph,
     VertexSet,
     exact_domination,
     exact_packing,
@@ -16,7 +17,7 @@ from dompack import (
     tree_dompack,
 )
 from dompack.generators import GenSpec, all_graphs, derive_seed, gen_gnp, gen_tree, generate
-from dompack.planar import random_planar
+from dompack.planar import random_min_degree4_planar, random_planar
 
 
 def test_domination_examples():
@@ -199,6 +200,31 @@ def test_verify_tree_node_counts(capsys, monkeypatch):
     assert dompack.cli.main(argv) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def grid(rows, cols):
+    """P_rows x P_cols, vertex r * cols + c at row r, column c."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+def test_search_node_counts_past_the_kernel_corpus():
+    # (value, nodes_explored) of both searches on graphs past the n <= 50 of
+    # the kernel pin, exact on any machine.  A weaker incumbent or cover
+    # bound keeps every value and witness but explores more nodes: the
+    # greedy cover as the packing bound reads 43,275 packing nodes on 9x9.
+    pinned = [
+        (grid(8, 8), (16, 1_973), (13, 6_142)),
+        (grid(9, 9), (20, 24_089), (17, 10_290)),
+        (grid(2, 40), (21, 29_744), (20, 442)),
+        (random_min_degree4_planar(2, 100), (10, 24_405), (10, 373)),
+        (random_planar(3, 200, 500), (29, 242), (29, 729)),
+    ]
+    for g, dom, pack in pinned:
+        assert [
+            (r.value, r.nodes_explored) for r in (exact_domination(g), exact_packing(g))
+        ] == [dom, pack], g
 
 
 def test_packing_stopped_at_gamma_keeps_its_answer():
