@@ -38,7 +38,7 @@ from .constructions import (
     tree_dompack,
 )
 from .errors import DompackError, GenerationBudgetError
-from .generators import GenSpec, derive_seed, gen_chordal_bipartite_with_stats, generate
+from .generators import CB_MAX_N, GenSpec, derive_seed, gen_chordal_bipartite_with_stats, generate
 from .graph import MAX_VERTICES, Graph, VertexSet, greedy_maximal_independent_set
 from .lp import verify_sandwich
 from .planar import (
@@ -56,17 +56,18 @@ from .recognition import (
 )
 from .solvers import SolveResult, exact_domination, exact_packing
 
-# Per verify class: the default bound c in gamma <= c * rho, the default --n,
-# the smallest and largest --n its instance generator can draw from, and the
-# default --x-samples.
+# Per verify class: the GenSpec family its instances come from, the default
+# bound c in gamma <= c * rho, the default --n, the smallest and largest --n
+# (the smallest is also the least n an instance draws), and the default
+# --x-samples.
 CLASSES = {
-    "tree": (Fraction(1), 50, 2, MAX_VERTICES, 0),
-    "strongly-chordal": (Fraction(1), 40, 2, MAX_VERTICES, 0),
-    "chordal-bipartite": (Fraction(2), 16, 4, 16, 0),
-    "homogeneously-orderable": (Fraction(2), 14, 2, MAX_VERTICES, 0),
-    "planar": (Fraction(7), 30, 4, MAX_VERTICES, 2),
-    "rook": (Fraction(1), 25, 4, MAX_VERTICES, 0),
-    "any": (Fraction(1), 12, 2, MAX_VERTICES, 0),
+    "tree": ("tree", Fraction(1), 50, 2, MAX_VERTICES, 0),
+    "strongly-chordal": ("interval", Fraction(1), 40, 2, MAX_VERTICES, 0),
+    "chordal-bipartite": ("chordal-bipartite", Fraction(2), 16, 4, CB_MAX_N, 0),
+    "homogeneously-orderable": ("distance-hereditary", Fraction(2), 14, 2, MAX_VERTICES, 0),
+    "planar": ("planar", Fraction(7), 30, 4, MAX_VERTICES, 2),
+    "rook": ("rook", Fraction(1), 25, 4, MAX_VERTICES, 0),
+    "any": ("gnp", Fraction(1), 12, 2, MAX_VERTICES, 0),
 }
 CONSTRUCT_CLASSES = ("tree", "strongly-chordal", "chordal-bipartite", "homogeneously-orderable")
 
@@ -275,33 +276,23 @@ def cmd_compute(args) -> int:
 
 
 def _instance_spec(cls: str, index: int, seed: int, max_n: int) -> GenSpec:
+    family, _, _, least_n, _, _ = CLASSES[cls]
     sub = derive_seed(seed, index)
-    rng = random.Random(sub)
-    if cls == "tree":
-        return GenSpec("tree", rng.randrange(2, max_n + 1), sub)
-    if cls == "strongly-chordal":
-        return GenSpec(
-            "interval",
-            rng.randrange(2, max_n + 1),
-            sub,
-            {"span": rng.choice([0.15, 0.3, 0.5])},
-        )
-    if cls == "chordal-bipartite":
-        return GenSpec(
-            "chordal-bipartite",
-            rng.randrange(4, max_n + 1),
-            sub,
-            {"edge_prob": rng.choice([0.2, 0.3, 0.45])},
-        )
-    if cls == "homogeneously-orderable":
-        return GenSpec("distance-hereditary", rng.randrange(2, max_n + 1), sub)
-    if cls == "planar":
-        n = rng.randrange(4, max_n + 1)
-        return GenSpec("planar", n, sub, {"m": rng.randrange(0, 3 * n - 5)})
-    if cls == "rook":
-        k = 2 + index % max(1, int(math.isqrt(max_n)) - 1)
+    if family == "rook":  # K_k x K_k, k from the index, nothing drawn
+        k = 2 + index % max(1, math.isqrt(max_n) - 1)
         return GenSpec("rook", k * k, sub, {"k": k, "l": k})
-    return GenSpec("gnp", rng.randrange(2, max_n + 1), sub, {"edge_prob": 0.5})  # "any"
+    rng = random.Random(sub)
+    n = rng.randrange(least_n, max_n + 1)
+    params = {}
+    if family == "interval":
+        params = {"span": rng.choice([0.15, 0.3, 0.5])}
+    elif family == "chordal-bipartite":
+        params = {"edge_prob": rng.choice([0.2, 0.3, 0.45])}
+    elif family == "planar":
+        params = {"m": rng.randrange(0, 3 * n - 5)}
+    elif family == "gnp":
+        params = {"edge_prob": 0.5}
+    return GenSpec(family, n, sub, params)
 
 
 def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -> dict:
@@ -334,7 +325,7 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -
 
 def cmd_verify(args) -> int:
     cls = args.cls
-    default_bound, default_n, least_n, most_n, default_x_samples = CLASSES[cls]
+    _, default_bound, default_n, least_n, most_n, default_x_samples = CLASSES[cls]
     bound = default_bound if args.bound is None else _parse_fraction(args.bound, "--bound")
     _in_range("--bound", bound, 1)  # rho <= gamma, so c < 1 fails every graph
     max_n = _max_n(args.n, default_n, least_n, most_n)
@@ -434,7 +425,7 @@ def _connected_min_degree2_embedding(seed: int, n_max: int):
         g = generate(GenSpec("planar", n, sub, {"m": m}))
         if g.min_degree() >= 2 and g.is_connected():
             return random_planar_embedding(sub, n, m), g
-    raise DompackError("could not generate a connected min-degree-2 planar graph")
+    raise GenerationBudgetError("could not generate a connected min-degree-2 planar graph", 10_000)
 
 
 def cmd_lemmacheck(args) -> int:

@@ -95,6 +95,7 @@ def gen_interval(spec: GenSpec) -> Graph:
 
 
 _CB_ATTEMPTS = 2000  # rejection-sampling attempts per chordal bipartite instance
+CB_MAX_N = 16  # the largest n the chordal bipartite sampler takes
 
 
 def gen_chordal_bipartite(spec: GenSpec) -> Graph:
@@ -106,8 +107,8 @@ def gen_chordal_bipartite_with_stats(spec: GenSpec) -> tuple[Graph, int]:
     """Rejection-sample random bipartite graphs until the recognizer accepts;
     returns (graph, attempts) so campaigns can report the acceptance rate."""
     n = spec.n
-    if not 2 <= n <= 16:
-        raise GraphError("chordal bipartite sampling is capped at 2 <= n <= 16")
+    if not 2 <= n <= CB_MAX_N:
+        raise GraphError(f"chordal bipartite sampling is capped at 2 <= n <= {CB_MAX_N}")
     p = spec.params.get("edge_prob", 0.3)
     for attempt in range(1, _CB_ATTEMPTS + 1):
         rng = random.Random(derive_seed(spec.seed, attempt))
@@ -292,8 +293,6 @@ def _tree_canonical(n: int, adj: list[list[int]]) -> tuple:
     a vertex is the sorted tuple of its children's forms, and the tree's is
     the least root form over its centers.  Each root form is built bottom-up
     over a BFS order from its center."""
-    if n == 1:
-        return ((),)
     degree = [len(a) for a in adj]
     leaves = [v for v in range(n) if degree[v] <= 1]
     removed = len(leaves)

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from dompack import Graph, emit_graph6, gen_named, parse_graph6
+import dompack.cli
+from dompack import GenerationBudgetError, Graph, emit_graph6, gen_named, parse_graph6
 from dompack.cli import main
 from dompack.generators import GenSpec, generate
 
@@ -162,6 +163,7 @@ def test_input_with_only_comments_has_no_graphs(capsys, tmp_path):
         ["construct", "--class", "tree", "-", "--root", "-1"],
         ["verify", "--class", "tree", "--n", "600", "--count", "3"],
         ["lemmacheck", "--lemma", "charge-audit", "--n", "2000", "--count", "4", "--seed", "1"],
+        ["verify", "--class", "rook", "--n", "3"],
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
@@ -231,6 +233,20 @@ def test_verify_x_samples_apply_to_every_class(capsys):
     for rec in records:
         assert len(rec["x_checks"]) == 2
         assert all(xc["gamma_x"] == xc["rho_x"] for xc in rec["x_checks"])
+
+
+@pytest.mark.parametrize("cls", list(dompack.cli.CLASSES))
+def test_each_class_draws_its_floor(capsys, cls):
+    # The smallest --n of a class is also the least n its instances draw, so
+    # at that --n every instance has exactly that n (K2 x K2 for rook).
+    floor = dompack.cli.CLASSES[cls][3]
+    code, out = run_cli(
+        capsys, "verify", "--class", cls, "--n", str(floor), "--count", "5", "--format", "json"
+    )
+    records, summary = json_records(out)
+    assert len(records) == 5 and "errors" not in summary
+    assert all(rec["n"] == rec["genspec"]["n"] == floor for rec in records)
+    assert code == (1 if cls == "rook" else 0)  # gamma(K2 x K2) = 2, rho = 1
 
 
 def test_verify_records_replay(capsys):
@@ -463,6 +479,24 @@ def test_lemmacheck_all(capsys):
         assert code == 0, lemma
         _, summary = json_records(out)
         assert summary["failures"] == 0
+
+
+def test_triangulate_sampler_runs_out_like_the_others(capsys, monkeypatch):
+    # Every planar draw edgeless: the sampler spends its budget and says so
+    # with the attempt count, as the chordal-bipartite and min-degree-4 ones do.
+    monkeypatch.setattr(dompack.cli, "generate", lambda spec: Graph(spec.n))
+    with pytest.raises(GenerationBudgetError) as info:
+        dompack.cli._connected_min_degree2_embedding(0, 12)
+    assert info.value.attempts == 10_000
+    text = "could not generate a connected min-degree-2 planar graph"
+    assert str(info.value) == text
+    code, out = run_cli(
+        capsys, "lemmacheck", "--lemma", "triangulate", "--count", "2", "--format", "json"
+    )
+    assert code == 1
+    records, summary = json_records(out)
+    assert summary["failures"] == 2
+    assert [(rec["passed"], rec["error"]) for rec in records] == [(False, text)] * 2
 
 
 def test_lemmacheck_records_carry_their_graph(capsys, monkeypatch):

@@ -78,6 +78,23 @@ def test_malformed_graph6():
         parse_graph6("A" + chr(63 + 16))  # nonzero padding bits for n=2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("!", "invalid graph6 size character '!'"),
+        ("B!", "invalid graph6 data character '!'"),  # n = 3: one body character
+        ("~~??????", "graph6 sizes beyond 258047 are not supported"),
+        ("~??", "truncated graph6 size field"),
+        ("?", "graph6 with zero vertices is not supported"),
+        ("~?G@", "graph6 vertex count 513 exceeds the 512 cap"),  # 513 in the 18-bit field
+    ],
+)
+def test_graph6_input_checks(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph6(text)
+    assert str(info.value) == message
+
+
 def test_edge_json_round_trip():
     g = gen_named("K3,3")
     back = parse_edge_json(json.dumps({"n": g.n, "edges": g.edges()}))

@@ -206,6 +206,23 @@ def test_generate_dispatch_replay():
         generate(GenSpec("martian", 5, 0))
 
 
+@pytest.mark.parametrize(
+    "make, arg, message",
+    [
+        (generate, GenSpec("tree", 0, 1), "trees need n >= 1"),
+        (generate, GenSpec("interval", 0, 1), "interval graphs need n >= 1"),
+        (generate, GenSpec("distance-hereditary", 0, 1), "distance-hereditary growth needs n >= 1"),
+        (generate, GenSpec("rook", 0, 1, {"k": 0}), "rook graphs need k, l >= 1"),
+        (all_trees, 0, "trees need n >= 1"),
+        (all_graphs, 8, "exhaustive graph enumeration is capped at n <= 7"),
+    ],
+)
+def test_generators_refuse_sizes_they_cannot_make(make, arg, message):
+    with pytest.raises(GraphError) as info:
+        make(arg)
+    assert str(info.value) == message
+
+
 def test_derive_seed():
     assert derive_seed(0, 0) == derive_seed(0, 0)
     seen = {derive_seed(123, i) for i in range(1000)}

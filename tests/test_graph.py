@@ -83,6 +83,13 @@ def test_edit_errors():
         c4.induced_subgraph(VertexSet(4))
 
 
+@pytest.mark.parametrize("mask", [1 << 4, 1 | 1 << 9, -1])
+def test_from_mask_rejects_bits_outside_the_capacity(mask):
+    with pytest.raises(VertexRangeError) as info:
+        VertexSet.from_mask(4, mask)
+    assert str(info.value) == "mask has bits outside 0..capacity-1"
+
+
 def test_graph_construction_rejects_non_simple():
     with pytest.raises(GraphError):
         Graph(3, [(0, 0)])

@@ -114,6 +114,19 @@ def test_random_planar_examples():
         random_planar(5, 10, -1)
 
 
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (random_planar, (1, 2, 0), "random planar graphs need n >= 3"),
+        (random_min_degree4_planar, (1, 5), "min-degree-4 planar graphs need n >= 6"),
+    ],
+)
+def test_planar_generators_refuse_too_few_vertices(make, args, message):
+    with pytest.raises(GraphError) as info:
+        make(*args)
+    assert str(info.value) == message
+
+
 def test_random_planar_is_the_graph_of_its_embedding():
     # One draw per (seed, n, m): the embedding keeps the edges random_planar
     # keeps, and the full draw is the maximal planar growth itself.

@@ -8,6 +8,7 @@ from dompack import (
     VertexSet,
     exact_domination,
     exact_packing,
+    fractional_domination,
     gen_named,
     gen_rook,
     greedy_domination,
@@ -240,6 +241,42 @@ def test_packing_stopped_at_gamma_keeps_its_answer():
             assert bounded.nodes_explored <= full.nodes_explored
             stopped_early += bounded.nodes_explored < full.nodes_explored
     assert stopped_early > 0
+
+
+def test_exact_values_survive_relabelling_and_add_over_unions():
+    # Metamorphic checks: gamma, rho, gamma_f, gamma_X and rho_X are graph
+    # invariants, so relabelling the graph (and X with it) keeps them, and
+    # gamma and rho of a disjoint union are the sums of the parts'.  The CLI's
+    # `_gamma_rho`, which settles from a checked pass pair when it can, must
+    # give the bare searches' values on every case.
+    import dompack.cli
+
+    def values(g, x=None):
+        gamma, rho = exact_domination(g, x).value, exact_packing(g, x).value
+        assert [r.value for r in dompack.cli._gamma_rho(g, x)] == [gamma, rho]
+        return gamma, rho
+
+    rng = random.Random(3901)
+    draws = []
+    for i in range(150):
+        n, sub = rng.randrange(3, 11), derive_seed(3901, i)
+        family, params = [
+            ("gnp", {"edge_prob": 0.3}),
+            ("tree", {}),
+            ("planar", {"m": rng.randrange(0, 3 * n - 5)}),
+            ("interval", {"span": 0.3}),
+        ][i % 4]
+        draws.append(generate(GenSpec(family, n, sub, params)))
+    for g in draws:
+        perm = rng.sample(range(g.n), g.n)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert values(h) == values(g), g
+        assert fractional_domination(h).value == fractional_domination(g).value, g
+        x = [v for v in range(g.n) if rng.random() < 0.5]
+        assert values(h, VertexSet(g.n, [perm[v] for v in x])) == values(g, VertexSet(g.n, x))
+    for g, h in zip(draws, draws[1:] + draws[:1]):
+        union = Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+        assert values(union) == tuple(map(sum, zip(values(g), values(h)))), (g, h)
 
 
 def test_readme_quickstart_witness():
