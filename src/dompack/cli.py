@@ -23,6 +23,7 @@ import json
 import math
 import os
 import random
+import string
 import sys
 import time
 from collections.abc import Iterator
@@ -42,6 +43,7 @@ from .generators import CB_MAX_N, GenSpec, derive_seed, gen_chordal_bipartite_wi
 from .graph import MAX_VERTICES, Graph, VertexSet, greedy_maximal_independent_set
 from .lp import verify_sandwich
 from .planar import (
+    _edge_within,
     charge_audit,
     embed_maximal_planar,
     find_low_degree_edge,
@@ -72,17 +74,22 @@ CLASSES = {
 CONSTRUCT_CLASSES = ("tree", "strongly-chordal", "chordal-bipartite", "homogeneously-orderable")
 
 
-def _record(g: Graph | None, t0: float, **fields) -> dict:
+def _record(g: Graph | None, t0: float, error: DompackError | None = None, **fields) -> dict:
     """One CLI record: the only place a graph becomes a record.
 
     The record carries the graph6, n and m of `g` ("", 0 and 0 when no graph
-    was made), `passed` (True unless `fields` says otherwise), the
-    subcommand's own `fields` and `wall_time`, the seconds since `t0`.
+    was made), `passed` (True unless `error` or `fields` says otherwise), the
+    subcommand's own `fields` and `wall_time`, the seconds since `t0`.  An
+    `error` adds its text, and a spent sampler's attempts as gen_attempts.
     Exact rationals are written as their string, for example "7/3".
     """
     rec = {"graph6": "", "n": 0, "m": 0, "passed": True}
     if g is not None:
         rec.update(graph6=codec.emit_graph6(g), n=g.n, m=g.m)
+    if error is not None:
+        rec.update(passed=False, error=str(error))
+        if isinstance(error, GenerationBudgetError):
+            rec["gen_attempts"] = error.attempts
     for key, value in fields.items():
         rec[key] = str(value) if isinstance(value, Fraction) else value
     rec["wall_time"] = round(time.perf_counter() - t0, 6)
@@ -195,8 +202,9 @@ def _read_graphs(path: str) -> Iterator[Graph]:
     except UnicodeDecodeError:
         raise DompackError(f"cannot read {path}: not a text file") from None
     found = False
-    for line in text.splitlines():
-        line = line.strip()
+    # Lines end at "\n" or "\r" only: text mode maps "\r" in files, not on stdin.
+    for line in text.replace("\r", "\n").split("\n"):
+        line = line.strip(string.whitespace)
         if line and not line.startswith("#"):
             found = True
             yield codec.parse_graph(line)
@@ -304,9 +312,7 @@ def _verify_one(spec: GenSpec, bound: Fraction, x_prob: float, x_samples: int) -
         else:
             g = generate(spec)
     except DompackError as exc:  # fails this record only, which has no graph
-        if isinstance(exc, GenerationBudgetError):
-            fields["gen_attempts"] = exc.attempts
-        return _record(None, t0, passed=False, error=str(exc), **fields)
+        return _record(None, t0, error=exc, **fields)
     gamma, rho = (r.value for r in _gamma_rho(g))
     passed = gamma <= bound * rho
     if x_samples:
@@ -396,7 +402,7 @@ def cmd_construct(args) -> int:
                     raise DompackError("input is not homogeneously orderable")
                 cert = homogeneously_orderable_dompack(g)
         except DompackError as exc:
-            out.record(_record(g, t0, passed=False, error=str(exc)))
+            out.record(_record(g, t0, error=exc))
             continue
         # A returned certificate is valid, and |P| <= rho <= gamma <= |D|.
         if len(cert.d) == len(cert.p):
@@ -442,9 +448,7 @@ def cmd_lemmacheck(args) -> int:
                 emb, g = _connected_min_degree2_embedding(sub, n_max)
                 ind = greedy_maximal_independent_set(g)
                 tri = triangulate_preserving_independent(emb, ind)
-                mask = ind.mask
-                ok = tri.is_triangulated()
-                ok = ok and not any((mask >> u) & (mask >> v) & 1 for u, v in tri.edges)
+                ok = tri.is_triangulated() and not _edge_within(tri.edges, ind.mask)
                 ok = ok and all(  # no vertex loses degree; closed masks hold v itself
                     len(darts) >= closed.bit_count() - 1
                     for darts, closed in zip(tri.rotation, g.closed_masks)
@@ -466,7 +470,8 @@ def cmd_lemmacheck(args) -> int:
                 ok = ledger.total == -12 and len(ledger.negative_vertices) > 0
                 fields = {"total_charge": ledger.total, "transfers": len(ledger.transfers)}
         except DompackError as exc:
-            ok, fields = False, {"error": str(exc)}
+            out.record(_record(g, t0, error=exc))
+            continue
         out.record(_record(g, t0, passed=ok, **fields))
     return out.summary({"lemma": args.lemma, "instances": out.records, "failures": out.failures})
 

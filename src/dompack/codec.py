@@ -11,6 +11,7 @@ format, read but never written, is {"n": int, "edges": [[u, v], ...]}.
 from __future__ import annotations
 
 import json
+import string
 
 from .errors import GraphError, ParseError
 from .graph import MAX_VERTICES, Graph, _mask_bits
@@ -77,7 +78,7 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    s = text.strip(string.whitespace)
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     n, used = _decode_count(s)
@@ -124,7 +125,7 @@ def parse_edge_json(text: str) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Sniff a single-line graph: edge JSON when `{` is followed by a character
     outside graph6's 63..126, as a quote or a blank is, else graph6 (n = 60 is `{`)."""
-    s = text.strip()
+    s = text.strip(string.whitespace)
     if s[:1] == "{" and len(s) > 1 and not "?" <= s[1] <= "~":
         return parse_edge_json(s)
     return parse_graph6(s)

@@ -305,8 +305,6 @@ def _tree_canonical(n: int, adj: list[list[int]]) -> tuple:
                     degree[u] -= 1
                     if degree[u] == 1:
                         nxt.append(u)
-        if not nxt:
-            break
         removed += len(nxt)
         leaves = nxt
     forms = []

@@ -39,26 +39,27 @@ class TriangulationBlocked(DompackError, RuntimeError):
     """
 
 
-def _trace_faces(succ: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Faces in order of their least dart, each walked from that dart: the
-    step from dart d goes to succ[d ^ 1], the successor of d's reverse in
-    the rotation at its tail."""
-    consumed = [False] * len(succ)
+def _trace_faces(nxt: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Faces in order of their least dart, each walked from that dart by
+    d = nxt[d]; nxt is a permutation, so every walk closes at its start."""
+    consumed = [False] * len(nxt)  # the scan never returns to a start
     faces = []
     for d0, done in enumerate(consumed):
         if done:
             continue
         walk = [d0]
-        consumed[d0] = True
-        d = succ[d0 ^ 1]
+        d = nxt[d0]
         while d != d0:
-            if consumed[d]:
-                raise EmbeddingError("face walk revisited a consumed dart")
             walk.append(d)
             consumed[d] = True
-            d = succ[d ^ 1]
+            d = nxt[d]
         faces.append(tuple(walk))
     return tuple(faces)
+
+
+def _edge_within(edges: tuple[tuple[int, int], ...], mask: int) -> bool:
+    """Whether some edge (u, v) of `edges` joins two members of `mask`."""
+    return any((mask >> u) & (mask >> v) & 1 for u, v in edges)
 
 
 class PlanarEmbedding:
@@ -76,8 +77,8 @@ class PlanarEmbedding:
         The edge pass rejects self-loops and endpoints outside 0..n-1 and
         builds the neighbor masks that count the components.  The dart pass
         rejects a dart out of range, repeated or listed at another vertex
-        than its tail, marking each dart it accepts, and records each dart's
-        successor in its rotation; a dart left unmarked is absent.
+        than its tail, marking each dart it accepts; a dart left unmarked is
+        absent.  Face successor nxt[d ^ 1] is set to d's rotation successor.
         """
         if len(rotation) != n:
             raise EmbeddingError("rotation must list every vertex")
@@ -98,7 +99,7 @@ class PlanarEmbedding:
         # tails[d] is the vertex dart d leaves, and -1 once d is listed.
         tails = [x for e in self.edges for x in e]
         darts_total = len(tails)
-        succ = [0] * darts_total
+        nxt = [0] * darts_total
         for v, darts in enumerate(self.rotation):
             # darts[i] is the dart after d, cyclically: i runs 1 - len .. 0.
             for i, d in enumerate(darts, 1 - len(darts)):
@@ -107,11 +108,11 @@ class PlanarEmbedding:
                 if tails[d] != v:
                     raise EmbeddingError(f"dart {d} listed at the wrong vertex")
                 tails[d] = -1
-                succ[d] = darts[i]
+                nxt[d ^ 1] = darts[i]
         if tails.count(-1) != darts_total:
             raise EmbeddingError("some darts are absent from the rotation")
 
-        self.faces = _trace_faces(succ)
+        self.faces = _trace_faces(nxt)
         iso = sum(1 for darts in self.rotation if not darts)
         components = sum(1 for _ in _components(adj))
         if n - darts_total // 2 + len(self.faces) + iso != 2 * components:
@@ -299,7 +300,7 @@ def triangulate_preserving_independent(
     if not g.is_connected():
         raise PreconditionError("triangulation input must be connected")
     ind = _set_mask(emb, independent)
-    if any((ind >> u) & (ind >> v) & 1 for u, v in emb.edges):
+    if _edge_within(emb.edges, ind):
         raise PreconditionError("the designated set is not independent")
 
     edges = list(emb.edges)
@@ -373,14 +374,14 @@ def charge_audit(emb: PlanarEmbedding, low_independent: VertexSet) -> ChargeLedg
     The charges are kept as integer halves; each distinct ledger value
     becomes a `Fraction` once, when the ledger is built.
     """
-    if any(len(f) != 3 for f in emb.faces):
+    if not emb.is_triangulated():
         raise PreconditionError("charge audit requires a triangulated embedding")
     members = _set_mask(emb, low_independent)
     for v in low_independent:
         if emb.degree(v) > 7:
             raise PreconditionError(f"vertex {v} in the low set has degree > 7")
     edges = emb.edges
-    if any((members >> u) & (members >> v) & 1 for u, v in edges):
+    if _edge_within(edges, members):
         raise PreconditionError("designated low-degree set is not independent")
 
     initial = [2 * len(darts) - 12 for darts in emb.rotation]
@@ -424,8 +425,6 @@ def _flip_random_edges(work: _MutableEmbedding, rng: random.Random, attempts: in
     `nxt[d]`, the dart after d on its face; and `adj[v]`, the adjacency
     bitmask of v, exact because no flip makes a parallel edge.
     """
-    if any(len(walk) != 3 for walk in work.faces):
-        raise EmbeddingError("flip requires triangular faces")
     tail = [x for e in work.edges for x in e]
     adj = [0] * len(work.first)
     for u, v in work.edges:

@@ -104,6 +104,26 @@ def test_compute_parse_failure(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_graph_lines_end_only_at_line_ends(capsys, monkeypatch, tmp_path, source):
+    # "\n", "\r\n" and "\r" end a line and only ASCII whitespace is
+    # trimmed; str.splitlines() would also break at "\x1e" and read K4 and
+    # K3 from the one malformed line "C~\x1eBw".
+    path = tmp_path / "in.txt"
+
+    def run(text):
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        else:
+            path.write_bytes(text.encode())
+        return run_cli(capsys, "compute", "-" if source == "stdin" else str(path), "--format", "json")
+
+    assert run("C~\x1eBw\n") == (2, "")
+    code, out = run(" C~\t\r\nBw\r\nB?\rA_")
+    assert code == 0
+    assert [rec["graph6"] for rec in json_records(out)[0]] == ["C~", "Bw", "B?", "A_"]
+
+
 @pytest.mark.parametrize("command", [["compute", "--fractional"], ["construct", "--class", "tree"]])
 def test_malformed_line_keeps_the_records_before_it(capsys, tmp_path, command):
     # Input is parsed line by line as it is solved: the good first line gets
@@ -496,7 +516,26 @@ def test_triangulate_sampler_runs_out_like_the_others(capsys, monkeypatch):
     assert code == 1
     records, summary = json_records(out)
     assert summary["failures"] == 2
-    assert [(rec["passed"], rec["error"]) for rec in records] == [(False, text)] * 2
+    assert [(rec["passed"], rec["error"], rec["gen_attempts"]) for rec in records] == [
+        (False, text, 10_000)
+    ] * 2
+
+
+def test_min_degree4_sampler_failure_carries_its_attempts(capsys, monkeypatch):
+    # No core is ever large enough: each discharge record fails with the
+    # sampler's message and the attempts it spent, as a verify record does.
+    monkeypatch.setattr(dompack.planar, "_MIN_CORE", 10**6)
+    monkeypatch.setattr(dompack.planar, "_MIN_DEGREE4_ATTEMPTS", 3)
+    code, out = run_cli(
+        capsys, "lemmacheck", "--lemma", "discharge", "--count", "2", "--format", "json"
+    )
+    assert code == 1
+    records, summary = json_records(out)
+    assert summary["failures"] == 2
+    text = "no min-degree-4 core of size >= 1000000 in 3 attempts"
+    assert [(rec["passed"], rec["error"], rec["gen_attempts"]) for rec in records] == [
+        (False, text, 3)
+    ] * 2
 
 
 def test_lemmacheck_records_carry_their_graph(capsys, monkeypatch):

@@ -72,7 +72,7 @@ def test_malformed_graph6():
         parse_graph6("C~~~")  # length mismatch
     with pytest.raises(ParseError):
         parse_graph6("C")  # missing body
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="data character"):
         parse_graph6("B\x1f")  # data character out of range
     with pytest.raises(ParseError):
         parse_graph6("A" + chr(63 + 16))  # nonzero padding bits for n=2
@@ -93,6 +93,18 @@ def test_graph6_input_checks(text, message):
     with pytest.raises(ParseError) as info:
         parse_graph6(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ch", ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"])
+def test_only_ascii_whitespace_is_trimmed(ch):
+    # str.strip() would drop these around a line; graph6 has no place for
+    # them, so K4's "C~" with one around or inside it is malformed.
+    for text in ("C~" + ch, ch + "C~", "C" + ch + "~"):
+        with pytest.raises(ParseError):
+            parse_graph6(text)
+        with pytest.raises(ParseError):
+            parse_graph(text)
+    assert parse_graph(" \t\r\x0b\x0cC~\n").m == 6
 
 
 def test_edge_json_round_trip():

@@ -279,3 +279,57 @@ def test_one_max_coverage_pick():
     # pass all take the closed neighbourhood that covers most of what is
     # left, ties to the lowest index: one kernel makes that pick for all.
     assert max_coverage_picks({p.stem: p.read_text() for p in MODULES}) == ["graph._best_cover"]
+
+
+def edge_within_tests(sources: dict[str, str]) -> list[str]:
+    """module.function for each function (at any depth) that evaluates
+    `(m >> u) & (m >> v) & 1`: one mask m shifted by both names of a pair
+    (u, v) that a loop or comprehension in the function unpacks."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            pairs = {
+                tuple(getattr(leaf, "id", None) for leaf in loop.target.elts)
+                for loop in ast.walk(node)
+                if isinstance(loop, (ast.For, ast.comprehension))
+                and isinstance(loop.target, ast.Tuple)
+            }
+            for expr in ast.walk(node):
+                if not (
+                    isinstance(expr, ast.BinOp)
+                    and isinstance(expr.op, ast.BitAnd)
+                    and getattr(expr.right, "value", None) == 1
+                    and isinstance(expr.left, ast.BinOp)
+                    and isinstance(expr.left.op, ast.BitAnd)
+                ):
+                    continue
+                shifts = (expr.left.left, expr.left.right)
+                if not all(isinstance(s, ast.BinOp) and isinstance(s.op, ast.RShift) for s in shifts):
+                    continue
+                x, y = (getattr(s.right, "id", None) for s in shifts)
+                if ast.dump(shifts[0].left) == ast.dump(shifts[1].left) and {(x, y), (y, x)} & pairs:
+                    found.append(f"{module}.{node.name}")
+                    break
+    return sorted(found)
+
+
+def test_guard_sees_a_second_edge_within_test():
+    sources = {
+        "a": "def _edge_within(edges, mask):\n"
+        "    return any((mask >> u) & (mask >> v) & 1 for u, v in edges)\n",
+        "b": "def audit(emb, ind):\n    for a, b in emb.edges:\n"
+        "        if (ind >> b) & (ind >> a) & 1:\n            raise ValueError\n"
+        "def cross(edges, left, right):\n"
+        "    return any((left >> u) & (right >> v) & 1 for u, v in edges)\n"
+        "def member(mask, u, v):\n    return (mask >> u) & (mask >> v) & 1\n",
+    }
+    assert edge_within_tests(sources) == ["a._edge_within", "b.audit"]
+
+
+def test_one_edge_within_test():
+    # The triangulation's and the charge audit's preconditions and the
+    # triangulate post-check all ask whether an edge joins two members of a
+    # set: one predicate answers for all, so the error texts rest on one test.
+    assert edge_within_tests({p.stem: p.read_text() for p in MODULES}) == ["planar._edge_within"]
